@@ -96,7 +96,7 @@ def _conjugate_up(rho0: np.ndarray, v: np.ndarray, m: int) -> np.ndarray:
     n = v.shape[0]
     mn = m * n
     blocks = rho0.reshape(m, n, m, n)
-    out = np.einsum("pi,aibj,qj->apbq", v, blocks, v.conj())
+    out = np.einsum("pi,aibj,qj->apbq", v, blocks, v.conj(), optimize=True)
     return out.reshape(mn, mn)
 
 

@@ -8,7 +8,8 @@ class DimensionError(ValueError):
 class ValidationError(ValueError):
     """A matrix failed a numerical validity check.
 
-    ``reason`` is one of ``"not-hermitian"``, ``"not-psd"``, ``"trace-not-one"``.
+    ``reason`` is one of ``"not-finite"``, ``"not-hermitian"``, ``"not-psd"``,
+    ``"trace-not-one"``.
     """
 
     def __init__(self, reason: str, message: str):

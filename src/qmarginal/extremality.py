@@ -3,9 +3,12 @@
 A state factored as rho = Z Z* (columns scaled eigenvectors) is an extreme
 point of the set of states sharing its first marginal exactly when the
 family of folded products { [z_i][z_j]* } is linearly independent. The
-test stacks the vectorized products into a matrix and inspects its
-singular values; a null direction doubles as an explicit dependency
-certificate from which a proper convex splitting is built.
+test stacks the r^2 vectorized products into an r^2 x n^2 matrix and takes
+one Hermitian eigendecomposition of its Gram matrix on the smaller side.
+When r^2 > n^2 the family is dependent by counting dimensions, so only the
+largest Gram eigenvalue and a null vector of any n^2 + 1 products are
+needed. A null direction doubles as an explicit dependency certificate
+from which a proper convex splitting is built.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidCertificateError
-from .linalg import BipartiteState, bipartite, fold, hermitian_eig
+from .linalg import BipartiteState, bipartite, hermitian_eig
 
 INDEP_TOL = 1e-8
 MARGINAL_INDEP_TOL = 1e-6
@@ -46,30 +49,38 @@ def _scaled_factors(state: BipartiteState) -> np.ndarray:
 
 
 def _stacked_products(z: np.ndarray, m: int, n: int) -> np.ndarray:
+    """Row i*r + j is the flattened n x n product [z_i][z_j]*."""
     r = z.shape[1]
-    folds = [fold(z[:, i], m, n) for i in range(r)]
-    rows = np.empty((r * r, n * n), dtype=complex)
-    for i in range(r):
-        fi = folds[i]
-        for j in range(r):
-            rows[i * r + j] = (fi @ folds[j].conj().T).reshape(-1)
-    return rows
+    folds = z.T.reshape(r, m, n)  # folds[i].T is fold(z[:, i], m, n)
+    prods = np.einsum("iap,jaq->ijpq", folds, folds.conj(), optimize=True)
+    return prods.reshape(r * r, n * n)
 
 
 def is_extreme(state: BipartiteState) -> ExtremalityReport:
     """Certify whether a state is extreme among states with its first marginal."""
     z = _scaled_factors(state)
     r = z.shape[1]
+    n2 = state.n ** 2
     rows = _stacked_products(z, state.m, state.n)
-    svals = np.linalg.svd(rows, compute_uv=False)
-    gram_max = float(svals[0] ** 2)
-    gram_min = float(svals[-1] ** 2) if r * r <= state.n ** 2 else 0.0
+    if r * r <= n2:
+        w, vecs = np.linalg.eigh(rows @ rows.conj().T)
+        gram_max = float(w[-1])
+        gram_min = max(float(w[0]), 0.0)
+        left_null = vecs[:, 0]
+    else:
+        # more products than dimensions: any n^2 + 1 of them are dependent
+        gram_max = float(np.linalg.eigvalsh(rows.conj().T @ rows)[-1])
+        gram_min = 0.0
+        head = rows[: n2 + 1]
+        left_null = np.zeros(r * r, dtype=complex)
+        left_null[: n2 + 1] = np.linalg.eigh(head @ head.conj().T)[1][:, 0]
     extreme = gram_min > INDEP_TOL * gram_max
     marginal = extreme != (gram_min > MARGINAL_INDEP_TOL * gram_max)
     if extreme:
         return ExtremalityReport(True, r, gram_min, None, marginal)
-    u, _, _ = np.linalg.svd(rows, full_matrices=True)
-    null = u[:, -1].reshape(r, r)
+    # left_null* rows = 0, so conj(left_null) holds the coefficients; the
+    # coefficient set is closed under C -> C* since [z_j][z_i]* = ([z_i][z_j]*)*
+    null = left_null.conj().reshape(r, r)
     sym = null + null.conj().T
     skew = 1j * null - 1j * null.conj().T
     cert = sym if np.linalg.norm(sym) >= np.linalg.norm(skew) else skew

@@ -6,7 +6,9 @@ construction is attempted. ``necessary_spectra_compat`` is necessary for
 all (m, n); it is also sufficient when m >= n. ``compat_2x2`` and
 ``compat_2x3`` are the exact (necessary and sufficient) criteria for the
 (2, 2) and (2, 3) systems. No simple sufficient criterion is known for
-general m < n, so only the proven special cases are exposed.
+general m < n, so only the proven special cases are exposed. Both
+spectra must be probability vectors (entries >= -MAJ_TOL, sum within
+MAJ_TOL of 1); anything else raises DomainError.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DimensionError, DomainError
 from .majorization import MAJ_TOL, majorization_slack
 
 
@@ -76,10 +78,19 @@ def exact_low_rank_exists(r: int, m: int, k: int) -> bool:
 
 
 def _sorted_desc(v, name, length=None):
+    """Descending copy of a probability vector: entries >= -MAJ_TOL, sum within MAJ_TOL of 1."""
     v = np.asarray(v, dtype=float).reshape(-1)
     if length is not None and v.size != length:
         raise DimensionError(f"{name} must have length {length}, got {v.size}")
-    return np.sort(v)[::-1]
+    desc = np.sort(v)[::-1]
+    vals = desc.tolist()  # spectra are short: Python floats beat two numpy reductions
+    total = sum(vals)
+    low = vals[-1] if vals else 0.0
+    if not (low >= -MAJ_TOL and abs(total - 1.0) <= MAJ_TOL):  # also rejects NaN
+        raise DomainError(
+            f"{name} must be a probability vector, got sum {total!r} and min entry {low!r}"
+        )
+    return desc
 
 
 def _check_from_slack(name: str, slack: float, tol: float) -> CompatCheck:

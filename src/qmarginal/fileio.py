@@ -109,10 +109,15 @@ def load_state(path: str, m: int | None = None, n: int | None = None) -> Biparti
     mat, file_m, file_n = load_matrix(path)
     m = m if m is not None else file_m
     n = n if n is not None else file_n
-    if m is None and n is not None:
-        m = mat.shape[0] // n
-    if n is None and m is not None:
-        n = mat.shape[0] // m
+    if (m is None) != (n is None):
+        dim = mat.shape[0]
+        name, given = ("m", m) if n is None else ("n", n)
+        if given < 1 or dim % given:
+            raise DimensionError(f"{name} = {given} does not divide the matrix dimension {dim}")
+        if m is None:
+            m = dim // n
+        else:
+            n = dim // m
     if m is None or n is None:
         raise DimensionError("bipartite input needs factor dims (m, n) in file or flags")
     return bipartite(mat, m, n)

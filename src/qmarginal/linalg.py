@@ -159,8 +159,10 @@ def validate_density(
     trace_tol: float = TRACE_TOL,
     rank_tol_factor: float = RANK_TOL_FACTOR,
 ) -> DensityMatrix:
-    """Validate Hermiticity / positivity / unit trace and compute the numerical rank."""
+    """Validate finiteness / Hermiticity / positivity / unit trace and compute the numerical rank."""
     a = np.asarray(a, dtype=complex)
+    if not np.isfinite(a).all():
+        raise ValidationError("not-finite", "matrix has a non-finite entry")
     assert_hermitian(a, hermit_tol)
     w, _ = np.linalg.eigh((a + a.conj().T) / 2.0)
     wmax = float(w[-1])

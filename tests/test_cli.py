@@ -107,6 +107,27 @@ def test_validate_rejects_non_density(tmp_path, capsys):
     assert err["error"]["reason"] == "not-psd"
 
 
+def test_validate_rejects_nan_entry(tmp_path, capsys):
+    path = tmp_path / "nan.json"
+    path.write_text('{"rows": 2, "cols": 2, "entries": [[NaN, 0], [0, 0], [0, 0], [0.5, 0]]}')
+    code, out, err = run_cli(capsys, "validate", str(path))
+    assert code == 3
+    assert out is None
+    assert err["error"]["type"] == "validation"
+    assert err["error"]["reason"] == "not-finite"
+
+
+def test_extreme_with_non_dividing_m(tmp_path, capsys):
+    path = write(tmp_path, "six.json", fileio.matrix_to_doc(np.eye(6) / 6))
+    code, out, err = run_cli(capsys, "extreme", path, "--m", "4")
+    assert code == 2
+    assert out is None
+    assert err["error"]["type"] == "usage"
+    message = err["error"]["message"]
+    assert "4" in message and "6" in message
+    assert "m*n = 0" not in message
+
+
 def test_construct_pipeline_round_trip(uniform3, tmp_path, capsys):
     code, state_doc, _ = run_cli(capsys, "construct", uniform3, "--m", "2", "--k", "4")
     assert code == 0

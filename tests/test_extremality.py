@@ -1,8 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import qmarginal as qm
 from qmarginal.extremality import _scaled_factors, _stacked_products
+from qmarginal.linalg import fold
 
 from helpers import haar_unitary, sigma_corpus
 
@@ -128,3 +133,83 @@ class TestSplitNonextreme:
         state = qm.bipartite(np.eye(6) / 6, 2, 3)
         with pytest.raises(qm.InvalidCertificateError):
             qm.split_nonextreme(state, np.eye(2))
+
+
+def stacked_products_loop(z, m, n):
+    """Reference stacking: one folded product per (i, j), row i*r + j."""
+    r = z.shape[1]
+    folds = [fold(z[:, i], m, n) for i in range(r)]
+    return np.array([(folds[i] @ folds[j].conj().T).reshape(-1)
+                     for i in range(r) for j in range(r)]).reshape(r * r, n * n)
+
+
+def first_factor_rotated(state, seed):
+    """(U (x) I_n) rho (U (x) I_n)* for a Haar U: same first marginal, complex factors."""
+    u = np.kron(haar_unitary(state.m, seed), np.eye(state.n))
+    return qm.bipartite(u @ state.matrix @ u.conj().T, state.m, state.n)
+
+
+def rotated_member(m, n, r, k, seed):
+    sigma = qm.random_density(n, r, seed=seed)
+    return first_factor_rotated(qm.construct_rank_k(sigma, m, k), seed + 1)
+
+
+@st.composite
+def rotated_members(draw):
+    m = draw(st.integers(1, 3))
+    n = draw(st.integers(2, 4))
+    r = draw(st.integers(1, n))
+    lo, hi = qm.element_rank_range(r, m)
+    return rotated_member(m, n, r, draw(st.integers(lo, hi)), draw(st.integers(0, 10_000)))
+
+
+class TestExtremalityProperties:
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(rotated_members())
+    # rank^2 > n^2: dependent by counting, certificate from n^2 + 1 products
+    @example(rotated_member(2, 2, 2, 3, 5))
+    @example(rotated_member(2, 3, 3, 4, 6))
+    @example(rotated_member(3, 3, 3, 9, 7))
+    @example(rotated_member(4, 2, 2, 8, 8))
+    @example(rotated_member(3, 2, 2, 2, 9))  # rank^2 = n^2, extreme
+    def test_verdict_and_certificate(self, state):
+        assert np.iscomplexobj(state.matrix) and np.abs(state.matrix.imag).max() > 0
+        z = _scaled_factors(state)
+        r = z.shape[1]
+        rows = stacked_products_loop(z, state.m, state.n)
+        assert np.allclose(_stacked_products(z, state.m, state.n), rows, rtol=0, atol=1e-14)
+        rep = qm.is_extreme(state)
+        assert rep.rank == r
+        assert rep.gram_min_eig >= 0.0
+        if r * r > state.n ** 2:
+            assert rep.gram_min_eig == 0.0
+        assert rep.is_extreme == (np.linalg.matrix_rank(rows) == r * r)
+        assert (rep.certificate is None) == rep.is_extreme
+        if rep.is_extreme:
+            return
+        cert = rep.certificate
+        assert cert.shape == (r, r)
+        assert np.abs(cert - cert.conj().T).max() <= 1e-12
+        assert np.isclose(np.linalg.norm(cert), 1.0)
+        rho1, rho2 = qm.split_nonextreme(state, cert)
+        assert rho1.rank < state.rank
+        assert np.abs((rho1.matrix + rho2.matrix) / 2 - state.matrix).max() <= 1e-10
+        target = qm.partial_trace_first(state)
+        for part in (rho1, rho2):
+            assert np.abs(qm.partial_trace_first(part) - target).max() <= 1e-10
+
+
+def test_memory_stays_bounded_above_n_squared():
+    # a rank-48 member at (4, 12): 2304 products in a 144-dimensional space;
+    # an r^2 x r^2 left factor alone would be 85 MB
+    state = qm.construct_rank_k(qm.random_density(12, 12, seed=1), 4, 48)
+    tracemalloc.start()
+    try:
+        rep = qm.is_extreme(state)
+        qm.split_nonextreme(state, rep.certificate)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not rep.is_extreme
+    assert peak < 40e6, f"peak {peak / 1e6:.1f} MB"

@@ -106,6 +106,32 @@ class TestCompat2x3:
             qm.compat_2x3([0.5, 0.5], np.full(6, 1 / 6))
 
 
+class TestProbabilityVectorGuard:
+    def test_compat_2x2_rejects_mu_of_trace_two(self):
+        with pytest.raises(qm.DomainError):
+            qm.compat_2x2([0.9, 0.1], [0.5] * 4)
+
+    def test_compat_2x3_rejects_negative_entry(self):
+        with pytest.raises(qm.DomainError):
+            qm.compat_2x3([0.5, 0.3, 0.2], [0.6, 0.2, 0.1, 0.1, 0.1, -0.1])
+
+    def test_necessary_rejects_unnormalized_lambda(self):
+        with pytest.raises(qm.DomainError):
+            qm.necessary_spectra_compat([2, 1], np.full(4, 0.25), 2)
+
+    def test_rejects_nan_and_empty(self):
+        with pytest.raises(qm.DomainError):
+            qm.compat_2x2([np.nan, 0.5], np.full(4, 0.25))
+        with pytest.raises(qm.DomainError):
+            qm.necessary_spectra_compat([], [], 2)
+
+    def test_tolerance_edge_accepted(self):
+        # entries down to -MAJ_TOL and sums within MAJ_TOL of one still count
+        lam = [0.5 + 0.5e-10, 0.5]
+        mu = [0.5, 0.5, 0.5e-10, -0.5e-10]
+        assert qm.compat_2x2(lam, mu)
+
+
 def test_uniform_marginal_predicate_equivalence():
     # for the uniform qutrit marginal the four checks collapse to
     # a2+a3 >= 1/3 >= a4+a5 over random joint spectra

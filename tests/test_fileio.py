@@ -71,3 +71,11 @@ def test_state_needs_dims(tmp_path):
         fileio.load_state(str(path))
     loaded = fileio.load_state(str(path), m=2, n=2)
     assert loaded.m == 2
+
+
+@pytest.mark.parametrize("dims", [{"m": 4}, {"n": 4}, {"m": 0}])
+def test_state_dims_must_divide(tmp_path, dims):
+    path = tmp_path / "six.json"
+    fileio.save_doc(str(path), fileio.matrix_to_doc(np.eye(6) / 6))
+    with pytest.raises(qm.DimensionError, match=r"= (4|0) does not divide the matrix dimension 6"):
+        fileio.load_state(str(path), **dims)

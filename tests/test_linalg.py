@@ -192,6 +192,14 @@ class TestValidateDensity:
             qm.validate_density(np.diag([0.5, 0.4]))
         assert err.value.reason == "trace-not-one"
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+    def test_not_finite(self, bad):
+        a = np.diag([0.5, 0.5]).astype(complex)
+        a[0, 0] = bad
+        with pytest.raises(qm.ValidationError) as err:
+            qm.validate_density(a)
+        assert err.value.reason == "not-finite"
+
     def test_not_hermitian(self):
         bad = np.array([[0.5, 0.3], [0.0, 0.5]])
         with pytest.raises(qm.ValidationError) as err:
