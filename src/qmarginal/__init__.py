@@ -5,7 +5,6 @@ approximation, and extreme-point certification for density matrices on an
 (m, n) system whose first partial trace is prescribed.
 """
 
-from .backend import ACTIVE_BACKEND, BACKEND_ENV
 from .constructors import (
     ApproxResult,
     GadgetSpec,
@@ -75,8 +74,6 @@ from .rng import PortableRng
 __version__ = "0.1.0"
 
 __all__ = [
-    "ACTIVE_BACKEND",
-    "BACKEND_ENV",
     "ApproxResult",
     "BipartiteState",
     "CompatCheck",

@@ -19,7 +19,7 @@ from .errors import (
     PreconditionError,
     UnsupportedRegimeError,
 )
-from .feasibility import compat_2x3, element_rank_range
+from .feasibility import _sorted_desc, compat_2x3, element_rank_range
 from .linalg import (
     BipartiteState,
     DensityMatrix,
@@ -294,17 +294,16 @@ def construct_with_spectra(lam, mu, m: int) -> BipartiteState:
     Each mu block is spread to constant diagonal on the first factor, the
     block sums are steered onto lam by a prescribed-diagonal unitary on the
     second factor, and a diagonal of m-th roots of unity cancels every
-    off-diagonal marginal entry exactly (which needs m >= n).
+    off-diagonal marginal entry exactly (which needs m >= n). Both spectra
+    must be probability vectors; anything else raises DomainError.
     """
-    lam = np.sort(np.asarray(lam, dtype=float).reshape(-1))[::-1]
-    mu = np.sort(np.asarray(mu, dtype=float).reshape(-1))[::-1]
+    lam = _sorted_desc(lam, "lambda")
     n = lam.size
     if m < n:
         raise UnsupportedRegimeError(
             f"spectra-prescribed construction needs m >= n, got m={m} < n={n}"
         )
-    if mu.size != m * n:
-        raise DimensionError(f"mu must have length m*n = {m * n}, got {mu.size}")
+    mu = _sorted_desc(mu, "mu", length=m * n)
     blocks = mu.reshape(n, m)
     w = blocks.sum(axis=1)
     if not majorizes(lam, w).holds:

@@ -84,7 +84,10 @@ def spectrum_to_doc(values) -> dict:
 
 
 def doc_to_spectrum(doc: dict) -> np.ndarray:
-    return np.asarray(doc["values"], dtype=float).reshape(-1)
+    values = np.asarray(doc["values"], dtype=float).reshape(-1)
+    if values.size == 0:
+        raise DimensionError("spectrum document has no values")
+    return values
 
 
 def load_doc(path: str) -> dict:

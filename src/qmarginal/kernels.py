@@ -2,9 +2,10 @@
 
 Everything here is a pure function of ``(seed, start)`` where ``start`` is
 a counter into the splitmix64 stream, so results are reproducible and
-independent trials are addressable without sequential state.
+independent trials are addressable without sequential state. The trial
+kernels are vectorized over batches of trials.
 
-Stream layout contracts (identical for both backends):
+Stream layout contracts:
 
 * ``raw_block(seed, start, count)`` - value ``i`` is ``mix64(seed + (start+i+1)*GOLDEN)``.
 * ``normal_block`` - normals ``(2t, 2t+1)`` come from one Box-Muller pair
@@ -14,18 +15,14 @@ Stream layout contracts (identical for both backends):
   ``(i, j)`` uses the normal pair at offset ``2*(i*k + j)``.
 * ``census_spectra`` - same scheme with ``2*(m*n)**2`` raws per trial.
 
-The uint64 stream and the uniform doubles are bit-identical across
-backends; normals and everything downstream may differ by libm rounding
-(a few ulps).
+Any reimplementation of the mix reproduces the uint64 stream and the
+uniform doubles bit for bit; normals and everything downstream may differ
+by libm rounding (a few ulps).
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
-
-from .backend import ACTIVE_BACKEND, HAS_NUMBA, njit
 
 GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -33,12 +30,12 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 _TWO53_INV = 2.0 ** -53
 _MASK64 = (1 << 64) - 1
 
+# trials per batch: bounds the memory of one vectorized step
+RESIDUAL_BATCH = 4096
+CENSUS_BATCH = 1024
 
-# ---------------------------------------------------------------------------
-# pure-numpy implementations (vectorized over the trial batch)
-# ---------------------------------------------------------------------------
 
-def np_raw_block(seed: int, start: int, count: int) -> np.ndarray:
+def raw_block(seed, start, count) -> np.ndarray:
     """splitmix64 outputs for counters start..start+count-1."""
     idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
     z = np.uint64(seed & _MASK64) + idx * GOLDEN
@@ -47,10 +44,10 @@ def np_raw_block(seed: int, start: int, count: int) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
-def np_normal_block(seed: int, start: int, count: int) -> np.ndarray:
+def normal_block(seed, start, count) -> np.ndarray:
     if count % 2:
         raise ValueError("normal_block needs an even count")
-    raw = np_raw_block(seed, start, count)
+    raw = raw_block(seed, start, count)
     u1 = ((raw[0::2] >> np.uint64(11)).astype(np.float64) + 1.0) * _TWO53_INV
     u2 = (raw[1::2] >> np.uint64(11)).astype(np.float64) * _TWO53_INV
     r = np.sqrt(-2.0 * np.log(u1))
@@ -61,22 +58,28 @@ def np_normal_block(seed: int, start: int, count: int) -> np.ndarray:
     return out
 
 
-def _np_ginibre_batch(m, n, k, trials, seed, start):
+# qbench/spans.py names these two in LAYERS; delete them once it no longer does.
+np_raw_block = raw_block
+np_normal_block = normal_block
+
+
+def _ginibre_batch(m, n, k, trials, seed, start):
     """Batch of (m*n, k) complex Gaussian factors, one per trial."""
     per = 2 * m * n * k
-    z = np_normal_block(seed, start, trials * per)
+    z = normal_block(seed, start, trials * per)
     z = z.reshape(trials, m * n, k, 2)
     return (z[..., 0] + 1j * z[..., 1]) / np.sqrt(2.0)
 
 
-def np_residual_spectra(sigma, m, n, k, trials, seed, start, chunk=4096):
+def residual_spectra(sigma, m, n, k, trials, seed, start=0) -> np.ndarray:
     """Descending spectra of sigma - tr1(state) over random rank-<=k states."""
+    sigma = np.ascontiguousarray(sigma, dtype=np.complex128)
     per = 2 * m * n * k
     out = np.empty((trials, n))
     done = 0
     while done < trials:
-        c = min(chunk, trials - done)
-        g = _np_ginibre_batch(m, n, k, c, seed, start + done * per)
+        c = min(RESIDUAL_BATCH, trials - done)
+        g = _ginibre_batch(m, n, k, c, seed, start + done * per)
         gr = g.reshape(c, m, n, k)
         red = np.einsum("taic,tajc->tij", gr, gr.conj())
         tr = np.einsum("tii->t", red).real
@@ -87,7 +90,7 @@ def np_residual_spectra(sigma, m, n, k, trials, seed, start, chunk=4096):
     return out
 
 
-def np_census_spectra(m, n, trials, seed, start, chunk=1024):
+def census_spectra(m, n, trials, seed, start=0):
     """(marginal spectra, joint spectra) of random full-width Ginibre states."""
     mn = m * n
     per = 2 * mn * mn
@@ -95,8 +98,8 @@ def np_census_spectra(m, n, trials, seed, start, chunk=1024):
     mu = np.empty((trials, mn))
     done = 0
     while done < trials:
-        c = min(chunk, trials - done)
-        g = _np_ginibre_batch(m, n, mn, c, seed, start + done * per)
+        c = min(CENSUS_BATCH, trials - done)
+        g = _ginibre_batch(m, n, mn, c, seed, start + done * per)
         rho = np.einsum("tic,tjc->tij", g, g.conj())
         tr = np.einsum("tii->t", rho).real
         rho /= tr[:, None, None]
@@ -107,171 +110,16 @@ def np_census_spectra(m, n, trials, seed, start, chunk=1024):
     return lam, mu
 
 
-def np_prefix_sums(v) -> np.ndarray:
-    """Neumaier-compensated running sums (bit-identical to the numba twin)."""
-    out = np.empty(len(v))
-    s = 0.0
-    comp = 0.0
-    for i in range(len(v)):
-        val = float(v[i])
+def prefix_sums(v) -> np.ndarray:
+    """Neumaier-compensated running sums."""
+    out = []
+    s = comp = 0.0
+    for val in np.asarray(v, dtype=np.float64).ravel().tolist():
         t = s + val
         if abs(s) >= abs(val):
             comp += (s - t) + val
         else:
             comp += (val - t) + s
         s = t
-        out[i] = s + comp
-    return out
-
-
-# ---------------------------------------------------------------------------
-# numba implementations (scalar loop per trial)
-# ---------------------------------------------------------------------------
-
-if HAS_NUMBA:
-
-    @njit(cache=True, inline="always")
-    def _mix64(z):
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        return z ^ (z >> np.uint64(31))
-
-    @njit(cache=True, inline="always")
-    def _raw_at(seed, ctr):
-        return _mix64(seed + np.uint64(ctr + 1) * np.uint64(0x9E3779B97F4A7C15))
-
-    @njit(cache=True)
-    def nb_raw_block(seed, start, count):
-        out = np.empty(count, dtype=np.uint64)
-        for i in range(count):
-            out[i] = _raw_at(seed, start + i)
-        return out
-
-    @njit(cache=True, inline="always")
-    def _normal_pair(seed, ctr):
-        u1 = (np.float64(_raw_at(seed, ctr) >> np.uint64(11)) + 1.0) * 2.0 ** -53
-        u2 = np.float64(_raw_at(seed, ctr + 1) >> np.uint64(11)) * 2.0 ** -53
-        r = math.sqrt(-2.0 * math.log(u1))
-        th = 2.0 * np.pi * u2
-        return r * math.cos(th), r * math.sin(th)
-
-    @njit(cache=True)
-    def nb_normal_block(seed, start, count):
-        out = np.empty(count)
-        for t in range(count // 2):
-            x, y = _normal_pair(seed, start + 2 * t)
-            out[2 * t] = x
-            out[2 * t + 1] = y
-        return out
-
-    @njit(cache=True, inline="always")
-    def _fill_ginibre(g, rows, cols, seed, base):
-        inv = 1.0 / math.sqrt(2.0)
-        for i in range(rows):
-            for j in range(cols):
-                x, y = _normal_pair(seed, base + 2 * (i * cols + j))
-                g[i, j] = complex(x * inv, y * inv)
-
-    @njit(cache=True)
-    def nb_residual_spectra(sigma, m, n, k, trials, seed, start):
-        mn = m * n
-        per = 2 * mn * k
-        out = np.empty((trials, n))
-        g = np.empty((mn, k), dtype=np.complex128)
-        for t in range(trials):
-            _fill_ginibre(g, mn, k, seed, start + t * per)
-            red = np.zeros((n, n), dtype=np.complex128)
-            for a in range(m):
-                b = np.ascontiguousarray(g[a * n:(a + 1) * n, :])
-                bh = np.ascontiguousarray(b.conj().T)
-                red += b @ bh
-            tr = 0.0
-            for i in range(n):
-                tr += red[i, i].real
-            w = np.linalg.eigvalsh(sigma - red / tr)
-            for i in range(n):
-                out[t, i] = w[n - 1 - i]
-        return out
-
-    @njit(cache=True)
-    def nb_census_spectra(m, n, trials, seed, start):
-        mn = m * n
-        per = 2 * mn * mn
-        lam = np.empty((trials, n))
-        mu = np.empty((trials, mn))
-        g = np.empty((mn, mn), dtype=np.complex128)
-        for t in range(trials):
-            _fill_ginibre(g, mn, mn, seed, start + t * per)
-            rho = g @ np.ascontiguousarray(g.conj().T)
-            tr = 0.0
-            for i in range(mn):
-                tr += rho[i, i].real
-            rho /= tr
-            wmu = np.linalg.eigvalsh(rho)
-            for i in range(mn):
-                mu[t, i] = wmu[mn - 1 - i]
-            red = np.zeros((n, n), dtype=np.complex128)
-            for a in range(m):
-                red += rho[a * n:(a + 1) * n, a * n:(a + 1) * n]
-            wl = np.linalg.eigvalsh(red)
-            for i in range(n):
-                lam[t, i] = wl[n - 1 - i]
-        return lam, mu
-
-    @njit(cache=True)
-    def nb_prefix_sums(v):
-        out = np.empty(len(v))
-        s = 0.0
-        comp = 0.0
-        for i in range(len(v)):
-            val = v[i]
-            t = s + val
-            if abs(s) >= abs(val):
-                comp += (s - t) + val
-            else:
-                comp += (val - t) + s
-            s = t
-            out[i] = s + comp
-        return out
-
-
-IMPLEMENTATIONS = {"numpy": {
-    "raw_block": np_raw_block,
-    "normal_block": np_normal_block,
-    "residual_spectra": np_residual_spectra,
-    "census_spectra": np_census_spectra,
-    "prefix_sums": np_prefix_sums,
-}}
-if HAS_NUMBA:
-    IMPLEMENTATIONS["numba"] = {
-        "raw_block": nb_raw_block,
-        "normal_block": nb_normal_block,
-        "residual_spectra": nb_residual_spectra,
-        "census_spectra": nb_census_spectra,
-        "prefix_sums": nb_prefix_sums,
-    }
-
-_active = IMPLEMENTATIONS[ACTIVE_BACKEND]
-
-
-def raw_block(seed, start, count):
-    return _active["raw_block"](np.uint64(seed & _MASK64), start, count)
-
-
-def normal_block(seed, start, count):
-    return _active["normal_block"](np.uint64(seed & _MASK64), start, count)
-
-
-def residual_spectra(sigma, m, n, k, trials, seed, start=0):
-    sigma = np.ascontiguousarray(sigma, dtype=np.complex128)
-    return _active["residual_spectra"](
-        sigma, m, n, k, trials, np.uint64(seed & _MASK64), start
-    )
-
-
-def census_spectra(m, n, trials, seed, start=0):
-    return _active["census_spectra"](m, n, trials, np.uint64(seed & _MASK64), start)
-
-
-def prefix_sums(v):
-    return _active["prefix_sums"](np.ascontiguousarray(v, dtype=np.float64))
+        out.append(s + comp)
+    return np.array(out, dtype=np.float64)

@@ -41,8 +41,8 @@ def hermiticity_defect(a: np.ndarray) -> float:
 
 
 def assert_hermitian(a: np.ndarray, tol: float = HERMIT_TOL) -> None:
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionError(f"expected a square matrix, got shape {a.shape}")
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
+        raise DimensionError(f"expected a non-empty square matrix, got shape {a.shape}")
     defect = hermiticity_defect(a)
     if defect > tol:
         raise ValidationError(

@@ -41,6 +41,8 @@ def majorizes(x, y, pad: bool = False, tol: float = MAJ_TOL) -> MajorizationRepo
         size = max(x.size, y.size)
         x = np.pad(x, (0, size - x.size))
         y = np.pad(y, (0, size - y.size))
+    if x.size == 0:
+        raise DimensionError("majorization needs non-empty vectors")
     xs = np.sort(x)[::-1]
     ys = np.sort(y)[::-1]
     psx = kernels.prefix_sums(xs)

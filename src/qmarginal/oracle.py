@@ -4,8 +4,7 @@ Everything here is independent of the constructions it checks: the
 samplers draw states by normalized Gaussian factors and first-factor
 rotations, never by the optimized constructions themselves (rank-k
 building blocks are reused only where membership itself is the point).
-Outputs are pure functions of the config; with a fixed backend they are
-bit-identical run to run.
+Outputs are pure functions of the config and bit-identical run to run.
 """
 
 from __future__ import annotations

@@ -292,3 +292,34 @@ def test_malformed_inputs_are_usage_errors(tmp_path, capsys):
         code, _, err = run_cli(capsys, "validate", str(path))
         assert code == 2, text
         assert err["error"]["type"] == "usage"
+
+
+@pytest.mark.parametrize("command", ["compat", "spectra-construct"])
+def test_empty_spectrum_is_usage_error(tmp_path, capsys, command):
+    empty = tmp_path / "empty.json"
+    empty.write_text('{"values": []}')
+    extra = ["--m", "2"] if command == "spectra-construct" else []
+    code, out, err = run_cli(capsys, command, str(empty), str(empty), *extra)
+    assert code == 2
+    assert out is None
+    assert err["error"]["type"] == "usage"
+    assert "no values" in err["error"]["message"]
+
+
+def test_spectra_construct_rejects_nan_spectrum(tmp_path, capsys):
+    lam = tmp_path / "lam.json"
+    lam.write_text('{"values": [NaN, 1.0]}')
+    mu = write(tmp_path, "mu.json", fileio.spectrum_to_doc([0.25] * 4))
+    code, out, err = run_cli(capsys, "spectra-construct", str(lam), mu, "--m", "2")
+    assert code == 2
+    assert out is None
+    assert err["error"]["type"] == "usage"
+    assert "probability vector" in err["error"]["message"]
+
+
+def test_validate_empty_matrix(tmp_path, capsys):
+    path = write(tmp_path, "empty.json", {"rows": 0, "cols": 0, "entries": []})
+    code, out, err = run_cli(capsys, "validate", path)
+    assert code == 2
+    assert out is None
+    assert "non-empty square matrix" in err["error"]["message"]

@@ -237,6 +237,16 @@ class TestConstructWithSpectra:
         with pytest.raises(qm.PreconditionError):
             qm.construct_with_spectra([1.0, 0.0], np.full(4, 0.25), 2)
 
+    @pytest.mark.parametrize("lam, mu", [
+        ([np.nan, 1.0], [0.25] * 4),
+        ([0.5, 0.5], [np.nan, 0.5, 0.25, 0.25]),
+        ([0.6, 0.6], [0.3] * 4),
+        ([], []),
+    ])
+    def test_spectra_must_be_probability_vectors(self, lam, mu):
+        with pytest.raises(qm.DomainError):
+            qm.construct_with_spectra(lam, mu, 2)
+
 
 class TestGadget:
     def test_half_corner(self):

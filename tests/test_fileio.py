@@ -31,6 +31,11 @@ def test_spectrum_round_trip():
     assert np.array_equal(fileio.doc_to_spectrum(doc), v)
 
 
+def test_empty_spectrum_rejected():
+    with pytest.raises(qm.DimensionError):
+        fileio.doc_to_spectrum({"values": []})
+
+
 def test_dumps_is_valid_json():
     doc = {"a": 1, "b": [1.5, float(np.float64(2.25))], "c": {"d": None, "e": True}, "f": "x"}
     assert json.loads(fileio.dumps(doc)) == doc

@@ -1,13 +1,9 @@
 import math
 
 import numpy as np
-import pytest
 
 import qmarginal as qm
 from qmarginal import kernels
-from qmarginal.backend import BACKEND_ENV, HAS_NUMBA
-
-needs_numba = pytest.mark.skipif(not HAS_NUMBA, reason="numba not installed")
 
 # pinned outputs of the documented splitmix64 mix; any implementation of
 # the stream must reproduce these exactly
@@ -73,79 +69,22 @@ def test_prefix_sums_match_fsum():
         assert abs(ps[i] - math.fsum(v[: i + 1])) <= 1e-15
 
 
-@needs_numba
-class TestBackendParity:
-    def test_raw_bit_identical(self):
-        a = kernels.IMPLEMENTATIONS["numpy"]["raw_block"](np.uint64(77), 5, 100)
-        b = kernels.IMPLEMENTATIONS["numba"]["raw_block"](np.uint64(77), 5, 100)
-        assert np.array_equal(a, b)
-
-    def test_normals_close(self):
-        a = kernels.IMPLEMENTATIONS["numpy"]["normal_block"](np.uint64(3), 0, 1000)
-        b = kernels.IMPLEMENTATIONS["numba"]["normal_block"](np.uint64(3), 0, 1000)
-        assert np.abs(a - b).max() <= 1e-12
-
-    def test_residual_spectra_close(self):
-        sigma = np.ascontiguousarray(qm.random_density(6, 4, seed=1).matrix)
-        a = kernels.IMPLEMENTATIONS["numpy"]["residual_spectra"](sigma, 2, 6, 2, 100, np.uint64(4), 0)
-        b = kernels.IMPLEMENTATIONS["numba"]["residual_spectra"](sigma, 2, 6, 2, 100, np.uint64(4), 0)
-        assert np.abs(a - b).max() <= 1e-10
-
-    def test_census_close(self):
-        la, ma = kernels.IMPLEMENTATIONS["numpy"]["census_spectra"](2, 3, 50, np.uint64(5), 0)
-        lb, mb = kernels.IMPLEMENTATIONS["numba"]["census_spectra"](2, 3, 50, np.uint64(5), 0)
-        assert np.abs(la - lb).max() <= 1e-10
-        assert np.abs(ma - mb).max() <= 1e-10
-
-    def test_prefix_sums_bit_identical(self):
-        v = qm.PortableRng(11).uniform(200) - 0.3
-        a = kernels.IMPLEMENTATIONS["numpy"]["prefix_sums"](v)
-        b = kernels.IMPLEMENTATIONS["numba"]["prefix_sums"](v)
-        assert np.array_equal(a, b)
+def test_residual_spectra_counter_addressable():
+    # trial t consumes raws [start + t*per, start + (t+1)*per); 4100 trials
+    # cross the 4096-trial batch boundary
+    sigma = qm.random_density(6, 4, seed=1).matrix
+    m, n, k, trials, skip = 2, 6, 2, 4100, 7
+    per = 2 * m * n * k
+    full = kernels.residual_spectra(sigma, m, n, k, trials, 31)
+    tail = kernels.residual_spectra(sigma, m, n, k, trials - skip, 31, start=skip * per)
+    assert np.array_equal(full[skip:], tail)
 
 
-class TestEnvFlag:
-    def test_active_backend_consistent(self):
-        assert qm.ACTIVE_BACKEND in kernels.IMPLEMENTATIONS
-
-    def test_numpy_flag_forces_fallback(self, monkeypatch):
-        from qmarginal import backend
-
-        monkeypatch.setenv(BACKEND_ENV, "numpy")
-        assert backend.resolve_backend() == "numpy"
-
-    def test_bad_flag_rejected(self, monkeypatch):
-        from qmarginal import backend
-
-        monkeypatch.setenv(BACKEND_ENV, "cuda")
-        with pytest.raises(ValueError):
-            backend.resolve_backend()
-
-    @needs_numba
-    def test_auto_prefers_numba(self, monkeypatch):
-        from qmarginal import backend
-
-        monkeypatch.delenv(BACKEND_ENV, raising=False)
-        assert backend.resolve_backend() == "numba"
-
-    def test_numpy_backend_subprocess(self):
-        # the flag must actually steer the library at import time
-        import subprocess
-        import sys
-
-        code = (
-            "import qmarginal, numpy as np\n"
-            "assert qmarginal.ACTIVE_BACKEND == 'numpy'\n"
-            "s = qmarginal.random_density(4, 2, seed=3)\n"
-            "v = qmarginal.search_min_norm(s, 2, 1, 1.0,"
-            " qmarginal.SamplerConfig(seed=1, trials=50))\n"
-            "print(v)\n"
-        )
-        import os
-
-        env = dict(os.environ, **{BACKEND_ENV: "numpy"})
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True
-        )
-        assert out.returncode == 0, out.stderr
-        assert float(out.stdout) >= 0
+def test_census_spectra_counter_addressable():
+    # 2*(m*n)**2 raws per trial; 1030 trials cross the 1024-trial batch boundary
+    m, n, trials, skip = 2, 3, 1030, 9
+    per = 2 * (m * n) ** 2
+    lam, mu = kernels.census_spectra(m, n, trials, 32)
+    lam_tail, mu_tail = kernels.census_spectra(m, n, trials - skip, 32, start=skip * per)
+    assert np.array_equal(lam[skip:], lam_tail)
+    assert np.array_equal(mu[skip:], mu_tail)

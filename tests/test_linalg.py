@@ -200,6 +200,10 @@ class TestValidateDensity:
             qm.validate_density(a)
         assert err.value.reason == "not-finite"
 
+    def test_empty_matrix(self):
+        with pytest.raises(qm.DimensionError, match="non-empty"):
+            qm.validate_density(np.zeros((0, 0)))
+
     def test_not_hermitian(self):
         bad = np.array([[0.5, 0.3], [0.0, 0.5]])
         with pytest.raises(qm.ValidationError) as err:

@@ -33,6 +33,10 @@ class TestMajorizes:
     def test_unsorted_inputs_accepted(self):
         assert qm.majorizes([0.3, 0.4, 0.3], [0.2, 0.6, 0.2]).holds
 
+    def test_empty_rejected(self):
+        with pytest.raises(qm.DimensionError):
+            qm.majorizes([], [])
+
     def test_padding(self):
         assert qm.majorizes([0.6, 0.4], [1.0], pad=True).holds
         with pytest.raises(qm.DimensionError):
