@@ -7,7 +7,6 @@ approximation, and extreme-point certification for density matrices on an
 
 from .constructors import (
     ApproxResult,
-    GadgetSpec,
     constant_diagonal_conjugate,
     construct_23,
     construct_rank_k,
@@ -46,7 +45,6 @@ from .linalg import (
     bipartite,
     fold,
     hermitian_eig,
-    kron,
     partial_trace_first,
     partial_trace_second,
     random_density,
@@ -54,13 +52,7 @@ from .linalg import (
     unfold,
     validate_density,
 )
-from .majorization import (
-    MajorizationReport,
-    majorizes,
-    schatten_norm,
-    sum_k_largest,
-    von_neumann_entropy,
-)
+from .majorization import MajorizationReport, majorizes, schatten_norm
 from .oracle import (
     SamplerConfig,
     competitor_residual_spectra,
@@ -82,7 +74,6 @@ __all__ = [
     "DimensionError",
     "DomainError",
     "ExtremalityReport",
-    "GadgetSpec",
     "InfeasibleError",
     "InternalInvariantError",
     "InvalidCertificateError",
@@ -109,7 +100,6 @@ __all__ = [
     "hermitian_eig",
     "horn_unitary",
     "is_extreme",
-    "kron",
     "majorizes",
     "necessary_spectra_compat",
     "nonextreme_of_rank_k",
@@ -125,8 +115,6 @@ __all__ = [
     "spectra_pair_census",
     "spectrum",
     "split_nonextreme",
-    "sum_k_largest",
     "unfold",
     "validate_density",
-    "von_neumann_entropy",
 ]

@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -168,12 +169,14 @@ def _cmd_validate(args):
         trace_tol=args.trace_tol,
         rank_tol_factor=args.rank_tol_factor,
     )
+    low = dm.eigenvectors[:, -1]
     doc = {
         "valid": True,
         "dim": dm.dim,
         "rank": dm.rank,
         "trace": float(np.trace(dm.matrix).real),
-        "min_eigenvalue": float(dm.eigenvalues[-1]),
+        # Rayleigh quotient of the last eigenvector: the stored spectrum is clipped at 0
+        "min_eigenvalue": float(np.vdot(low, dm.matrix @ low).real),
     }
     return doc, 0
 
@@ -319,10 +322,11 @@ def _cmd_construct23(args):
 def _cmd_sample(args):
     sigma = fileio.load_density(args.sigma)
     seed = args.seed if args.seed is not None else _default_seed()
-    states = []
-    for t in range(args.trials):
-        cfg = SamplerConfig(seed=seed + t, mix_components=args.mix)
-        states.append(fileio.state_to_doc(random_state_with_marginal(sigma, args.m, cfg)))
+    cfg = SamplerConfig(seed=seed, trials=args.trials, mix_components=args.mix)
+    states = [
+        fileio.state_to_doc(random_state_with_marginal(sigma, args.m, replace(cfg, seed=seed + t)))
+        for t in range(cfg.trials)
+    ]
     return {"seed": seed, "states": states}, 0
 
 
@@ -372,6 +376,10 @@ def main(argv=None) -> int:
         return 2
     try:
         doc, code = _HANDLERS[args.command](args)
+        text = fileio.dumps(doc)
+        if getattr(args, "out", None):
+            with open(args.out, "w") as fh:
+                fh.write(text + "\n")
     except ValidationError as exc:
         _emit_error("validation", str(exc), reason=exc.reason)
         return 3
@@ -387,10 +395,6 @@ def main(argv=None) -> int:
     except InternalInvariantError as exc:
         _emit_error("internal-invariant", str(exc))
         return 3
-    text = fileio.dumps(doc)
-    if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
     print(text)
     return code
 

@@ -19,13 +19,12 @@ from .errors import (
     PreconditionError,
     UnsupportedRegimeError,
 )
-from .feasibility import _sorted_desc, compat_2x3, element_rank_range
+from .feasibility import _positive, _sorted_desc, compat_2x3, element_rank_range
 from .linalg import (
     BipartiteState,
     DensityMatrix,
     bipartite,
     fold,
-    hermitian_eig,
     partial_trace_first,
     unfold,
 )
@@ -54,63 +53,42 @@ class ApproxResult:
     norms: dict[float, float]
 
 
-@dataclass(frozen=True)
-class GadgetSpec:
-    """2x2 real symmetric block with prescribed eigenvalues and (1,1) entry.
+def gadget(eig_hi: float, eig_lo: float, corner: float) -> np.ndarray:
+    """2x2 real symmetric matrix with eigenvalues {eig_hi, eig_lo} and given corner.
 
     The off-diagonal ``sqrt((eig_hi - corner)(corner - eig_lo))`` makes
     ``[[corner, a], [a, eig_hi + eig_lo - corner]]`` have eigenvalues
-    exactly {eig_hi, eig_lo}.
+    exactly {eig_hi, eig_lo}; needs eig_lo <= corner <= eig_hi.
     """
-
-    eig_hi: float
-    eig_lo: float
-    corner: float
-
-    def __post_init__(self):
-        if not self.eig_lo - MAJ_TOL <= self.corner <= self.eig_hi + MAJ_TOL:
-            raise PreconditionError(
-                f"corner {self.corner} outside [{self.eig_lo}, {self.eig_hi}]"
-            )
-
-    @property
-    def offdiag(self) -> float:
-        prod = (self.eig_hi - self.corner) * (self.corner - self.eig_lo)
-        return math.sqrt(max(prod, 0.0))
-
-    @property
-    def matrix(self) -> np.ndarray:
-        a = self.offdiag
-        return np.array(
-            [[self.corner, a], [a, self.eig_hi + self.eig_lo - self.corner]]
-        )
-
-
-def gadget(eig_hi: float, eig_lo: float, corner: float) -> np.ndarray:
-    """2x2 real symmetric matrix with eigenvalues {eig_hi, eig_lo} and given corner."""
-    return GadgetSpec(eig_hi=eig_hi, eig_lo=eig_lo, corner=corner).matrix
+    if not eig_lo - MAJ_TOL <= corner <= eig_hi + MAJ_TOL:
+        raise PreconditionError(f"corner {corner} outside [{eig_lo}, {eig_hi}]")
+    a = math.sqrt(max((eig_hi - corner) * (corner - eig_lo), 0.0))
+    return np.array([[corner, a], [a, eig_hi + eig_lo - corner]])
 
 
 def _conjugate_up(rho0: np.ndarray, v: np.ndarray, m: int) -> np.ndarray:
     """(I_m (x) V) rho0 (I_m (x) V)* without forming the Kronecker factor."""
     n = v.shape[0]
     mn = m * n
-    blocks = rho0.reshape(m, n, m, n)
-    out = np.einsum("pi,aibj,qj->apbq", v, blocks, v.conj(), optimize=True)
-    return out.reshape(mn, mn)
+    # two 2-D products with rows (a, b, .): V on the row index of block (a, b),
+    # then V* on its column index (a batched 3-D matmul rounds differently on
+    # small blocks, which would move every construction in the last bits)
+    left = rho0.reshape(m, n, m, n).transpose(0, 2, 3, 1).reshape(m * mn, n) @ v.T
+    both = left.reshape(m, m, n, n).transpose(0, 1, 3, 2).reshape(m * mn, n) @ v.conj().T
+    return both.reshape(m, m, n, n).transpose(0, 2, 1, 3).reshape(mn, mn)
 
 
 def purify(sigma: DensityMatrix, m: int) -> BipartiteState:
     """Rank-one state on an (m, n) system with first marginal sigma; needs m >= rank."""
+    _positive("m", m)
     r = sigma.rank
     if m < r:
         raise InfeasibleError(
             f"purification needs first-factor dim >= rank: m={m} < rank={r}"
         )
     n = sigma.dim
-    w, v = hermitian_eig(sigma.matrix)
     cols = np.zeros((n, m), dtype=complex)
-    cols[:, :r] = v[:, :r] * np.sqrt(np.clip(w[:r], 0.0, None))
+    cols[:, :r] = sigma.eigenvectors[:, :r] * np.sqrt(sigma.eigenvalues[:r])
     vec = unfold(cols)
     return bipartite(np.outer(vec, vec.conj()), m, n)
 
@@ -130,7 +108,7 @@ def _low_rank_vectors(d: np.ndarray, n: int, m: int, k: int) -> list[np.ndarray]
     """
     r = d.size
     q, s = _case_split_counts(r, k)
-    f = np.sqrt(np.clip(d, 0.0, None))
+    f = np.sqrt(d)
     vecs = []
     for j in range(k):
         reach = q + 1 if j < s else q
@@ -166,6 +144,7 @@ def construct_rank_k(sigma: DensityMatrix, m: int, k: int) -> BipartiteState:
 
     Feasible iff ceil(r/m) <= k <= r*m for r = rank(sigma).
     """
+    _positive("k", k)
     r = sigma.rank
     lo, hi = element_rank_range(r, m)
     if not lo <= k <= hi:
@@ -173,9 +152,8 @@ def construct_rank_k(sigma: DensityMatrix, m: int, k: int) -> BipartiteState:
             f"rank {k} not attainable with marginal rank {r} and m={m}; range is [{lo}, {hi}]"
         )
     n = sigma.dim
-    w, v = hermitian_eig(sigma.matrix)
-    rho0 = _rank_k_in_diagonal_basis(w[:r], n, m, k)
-    return bipartite(_conjugate_up(rho0, v, m), m, n)
+    rho0 = _rank_k_in_diagonal_basis(sigma.eigenvalues[:r], n, m, k)
+    return bipartite(_conjugate_up(rho0, sigma.eigenvectors, m), m, n)
 
 
 def optimal_low_rank(
@@ -188,8 +166,8 @@ def optimal_low_rank(
     Exact when m*k >= rank(sigma); otherwise the top m*k eigenvalues of
     sigma are kept, each raised by mu_shift so the trace stays one.
     """
-    if k < 1 or m < 1:
-        raise DimensionError(f"m and k must be >= 1, got m={m}, k={k}")
+    _positive("m", m)
+    _positive("k", k)
     r = sigma.rank
     n = sigma.dim
     exact = m * k >= r
@@ -197,8 +175,8 @@ def optimal_low_rank(
         state = construct_rank_k(sigma, m, math.ceil(r / m))
         mu_shift = 0.0
     else:
-        w, v = hermitian_eig(sigma.matrix)
-        lam = w[:r]
+        v = sigma.eigenvectors
+        lam = sigma.eigenvalues[:r]
         mk = m * k
         mu_shift = float(lam[mk:].sum() / mk)
         weights = lam[:mk] + mu_shift
@@ -297,6 +275,7 @@ def construct_with_spectra(lam, mu, m: int) -> BipartiteState:
     off-diagonal marginal entry exactly (which needs m >= n). Both spectra
     must be probability vectors; anything else raises DomainError.
     """
+    _positive("m", m)
     lam = _sorted_desc(lam, "lambda")
     n = lam.size
     if m < n:
@@ -436,6 +415,8 @@ def nonextreme_of_rank_k(sigma: DensityMatrix, m: int, k: int) -> BipartiteState
     factor-product family linearly dependent. Needs ceil(r/m) < k <= r;
     every member at the minimum rank is extreme, so none exists there.
     """
+    _positive("m", m)
+    _positive("k", k)
     r = sigma.rank
     lo = math.ceil(r / m)
     if not lo < k <= r:
@@ -444,8 +425,7 @@ def nonextreme_of_rank_k(sigma: DensityMatrix, m: int, k: int) -> BipartiteState
             f"i.e. {lo} < k <= {r}"
         )
     n = sigma.dim
-    w, v = hermitian_eig(sigma.matrix)
-    vecs = _low_rank_vectors(w[:r], n, m, k - 1)
+    vecs = _low_rank_vectors(sigma.eigenvalues[:r], n, m, k - 1)
     z1 = vecs[0] / np.sqrt(2.0)
     flipped = fold(z1, m, n)
     flipped[:, 0] *= -1.0
@@ -453,4 +433,4 @@ def nonextreme_of_rank_k(sigma: DensityMatrix, m: int, k: int) -> BipartiteState
     rho0 = np.outer(z1, z1.conj()) + np.outer(zk, zk.conj())
     for vec in vecs[1:]:
         rho0 += np.outer(vec, vec.conj())
-    return bipartite(_conjugate_up(rho0, v, m), m, n)
+    return bipartite(_conjugate_up(rho0, sigma.eigenvectors, m), m, n)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidCertificateError
-from .linalg import BipartiteState, bipartite, hermitian_eig
+from .linalg import BipartiteState, bipartite
 
 INDEP_TOL = 1e-8
 MARGINAL_INDEP_TOL = 1e-6
@@ -43,9 +43,9 @@ class ExtremalityReport:
 
 
 def _scaled_factors(state: BipartiteState) -> np.ndarray:
-    w, v = hermitian_eig(state.matrix)
-    r = state.rank
-    return v[:, :r] * np.sqrt(np.clip(w[:r], 0.0, None))
+    rho = state.rho
+    r = rho.rank
+    return rho.eigenvectors[:, :r] * np.sqrt(rho.eigenvalues[:r])
 
 
 def _stacked_products(z: np.ndarray, m: int, n: int) -> np.ndarray:

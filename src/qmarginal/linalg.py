@@ -54,13 +54,19 @@ def assert_hermitian(a: np.ndarray, tol: float = HERMIT_TOL) -> None:
 class DensityMatrix:
     """Validated positive semidefinite unit-trace Hermitian matrix.
 
-    ``eigenvalues`` is the descending spectrum computed at construction and
-    ``rank`` the numerical rank at the construction tolerance. Construct
-    via :func:`validate_density`; instances are immutable.
+    ``eigenvalues`` is the spectrum computed at construction, clipped at 0,
+    and ``eigenvectors`` holds the matching unit eigenvectors as columns, so
+    ``matrix`` is ``eigenvectors @ diag(eigenvalues) @ eigenvectors*`` up to
+    the clipping. Both are in the order of :func:`hermitian_eig`: descending,
+    with exact ties kept in the solver's order (stable sort). ``rank`` is the
+    numerical rank at the construction tolerance, so the first ``rank``
+    eigenvalues are positive. Construct via :func:`validate_density`;
+    instances are immutable.
     """
 
     matrix: np.ndarray
     eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
     rank: int
 
     @property
@@ -130,6 +136,13 @@ def partial_trace_second(state, m: int | None = None, n: int | None = None) -> n
     return np.einsum("aibi->ab", rho.reshape(m, n, m, n))
 
 
+def _eigh_desc(a: np.ndarray):
+    """eigh of the Hermitian part of a, reordered descending by a stable sort."""
+    w, v = np.linalg.eigh((a + a.conj().T) / 2.0)
+    order = np.argsort(-w, kind="stable")
+    return w[order], v[:, order]
+
+
 def hermitian_eig(a, tol: float = HERMIT_TOL):
     """Descending eigendecomposition (w, V) of a Hermitian matrix, A = V diag(w) V*.
 
@@ -137,19 +150,12 @@ def hermitian_eig(a, tol: float = HERMIT_TOL):
     """
     a = np.asarray(a, dtype=complex)
     assert_hermitian(a, tol)
-    w, v = np.linalg.eigh((a + a.conj().T) / 2.0)
-    order = np.argsort(-w, kind="stable")
-    return w[order], v[:, order]
+    return _eigh_desc(a)
 
 
 def spectrum(a) -> np.ndarray:
     """Descending eigenvalues of a Hermitian matrix."""
     return hermitian_eig(a)[0]
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product; block (i, j) of the result is a[i, j] * b."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
 def validate_density(
@@ -164,9 +170,9 @@ def validate_density(
     if not np.isfinite(a).all():
         raise ValidationError("not-finite", "matrix has a non-finite entry")
     assert_hermitian(a, hermit_tol)
-    w, _ = np.linalg.eigh((a + a.conj().T) / 2.0)
-    wmax = float(w[-1])
-    wmin = float(w[0])
+    w, v = _eigh_desc(a)
+    wmax = float(w[0])
+    wmin = float(w[-1])
     if wmin < -psd_tol * max(1.0, abs(wmax)):
         raise ValidationError(
             "not-psd", f"matrix is not positive semidefinite (min eigenvalue {wmin:.3e})"
@@ -174,9 +180,13 @@ def validate_density(
     tr = float(np.trace(a).real)
     if abs(tr - 1.0) > trace_tol:
         raise ValidationError("trace-not-one", f"trace is {tr!r}, expected 1")
-    desc = np.clip(w[::-1], 0.0, None)  # stored density spectra are nonnegative
-    rank = int(np.sum(desc > rank_tol_factor * max(wmax, 0.0)))
-    return DensityMatrix(matrix=_freeze(a), eigenvalues=_freeze(desc), rank=rank)
+    rank = int(np.sum(w > rank_tol_factor * max(wmax, 0.0)))
+    return DensityMatrix(
+        matrix=_freeze(a),
+        eigenvalues=_freeze(np.maximum(w, 0.0)),  # stored density spectra are nonnegative
+        eigenvectors=_freeze(v),
+        rank=rank,
+    )
 
 
 def bipartite(a, m: int, n: int, **tol_overrides) -> BipartiteState:

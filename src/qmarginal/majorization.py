@@ -82,7 +82,7 @@ def schatten_norm(a, p: float) -> float:
 
 def lp_norm(values, p: float) -> float:
     """l_p norm of a real vector for p in [1, inf]."""
-    if p < 1:
+    if not p >= 1:  # also rejects NaN
         raise DomainError(f"Schatten/l_p norms need p >= 1, got {p}")
     v = np.abs(np.asarray(values, dtype=float))
     if v.size == 0:
@@ -94,24 +94,3 @@ def lp_norm(values, p: float) -> float:
     if p == 2:
         return float(np.sqrt((v * v).sum()))
     return float((v ** p).sum() ** (1.0 / p))
-
-
-def von_neumann_entropy(values, tol: float = MAJ_TOL) -> float:
-    """Entropy -sum x ln x of a probability spectrum, with 0 ln 0 = 0.
-
-    Entries below -tol are rejected; tiny negatives are clamped to zero.
-    """
-    v = np.asarray(values, dtype=float).reshape(-1)
-    if v.size and float(v.min()) < -tol:
-        raise DomainError(f"spectrum entry {v.min()} is negative beyond tolerance")
-    v = np.clip(v, 0.0, None)
-    pos = v[v > 0.0]
-    return float(-(pos * np.log(pos)).sum())
-
-
-def sum_k_largest(x, k: int) -> float:
-    """Sum of the k largest entries (the Ky Fan functional on vectors)."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if not 1 <= k <= x.size:
-        raise DomainError(f"k must lie in [1, {x.size}], got {k}")
-    return float(np.sort(x)[::-1][:k].sum())

@@ -15,6 +15,7 @@ import numpy as np
 
 from . import kernels
 from .constructors import construct_rank_k
+from .errors import DomainError
 from .feasibility import element_rank_range
 from .linalg import BipartiteState, DensityMatrix, bipartite
 from .majorization import lp_norm
@@ -29,7 +30,9 @@ class SamplerConfig:
 
     def __post_init__(self):
         if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
+            raise DomainError(f"trials must be >= 1, got {self.trials}")
+        if self.mix_components < 1:
+            raise DomainError(f"mix_components must be >= 1, got {self.mix_components}")
 
 
 def random_unitary(dim: int, rng: PortableRng) -> np.ndarray:

@@ -323,3 +323,33 @@ def test_validate_empty_matrix(tmp_path, capsys):
     assert code == 2
     assert out is None
     assert "non-empty square matrix" in err["error"]["message"]
+
+
+def test_validate_reports_unclipped_min_eigenvalue(tmp_path, capsys):
+    path = write(tmp_path, "m.json", fileio.matrix_to_doc(np.diag([1 + 1e-10, -1e-10])))
+    code, out, _ = run_cli(capsys, "validate", path)
+    assert code == 0
+    assert out["min_eigenvalue"] == -1e-10
+
+
+@pytest.mark.parametrize("argv", [
+    ["approx", "SIGMA", "--m", "2", "--k", "1", "--norms", "nan"],
+    ["feasible", "--r", "3", "--m", "2", "--out", "MISSING_DIR/x.json"],
+    ["purify", "SIGMA", "--m", "0"],
+    ["construct", "SIGMA", "--m", "2", "--k", "0"],
+    ["spectra-construct", "LAM", "MU", "--m", "0"],
+    ["sample", "SIGMA", "--m", "2", "--mix", "0"],
+    ["sample", "SIGMA", "--m", "2", "--trials", "0"],
+], ids=["approx-nan-norm", "out-missing-dir", "purify-m0", "construct-k0",
+        "spectra-construct-m0", "sample-mix0", "sample-trials0"])
+def test_bad_arguments_are_usage_errors(tmp_path, capsys, argv):
+    paths = {
+        "SIGMA": write(tmp_path, "sig.json", fileio.matrix_to_doc(np.diag([0.4, 0.3, 0.2, 0.1]))),
+        "LAM": write(tmp_path, "lam.json", fileio.spectrum_to_doc([1.0])),
+        "MU": write(tmp_path, "mu.json", fileio.spectrum_to_doc([0.5, 0.3, 0.2])),
+    }
+    argv = [paths.get(a, a.replace("MISSING_DIR", str(tmp_path / "missing"))) for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out is None
+    assert err["error"]["type"] == "usage"

@@ -368,3 +368,19 @@ class TestNonextreme:
         sigma = qm.validate_density(np.eye(3) / 3)
         with pytest.raises(qm.InfeasibleError):
             qm.nonextreme_of_rank_k(sigma, 2, 2)
+
+
+@pytest.mark.parametrize("build", [
+    lambda s: qm.purify(s, 0),
+    lambda s: qm.construct_rank_k(s, 2, 0),
+    lambda s: qm.construct_with_spectra([1 / 3] * 3, [1 / 3, 1 / 3, 1 / 3], 0),
+    lambda s: qm.nonextreme_of_rank_k(s, 0, 2),
+    lambda s: qm.nonextreme_of_rank_k(s, 2, 0),
+    lambda s: qm.optimal_low_rank(s, 0, 1),
+    lambda s: qm.optimal_low_rank(s, 2, 0),
+], ids=["purify-m0", "rank_k-k0", "spectra-m0", "nonextreme-m0", "nonextreme-k0",
+        "approx-m0", "approx-k0"])
+def test_zero_dimension_is_checked_before_feasibility(build):
+    # a non-positive dimension is a usage error, not an infeasible request
+    with pytest.raises(qm.DimensionError, match="must be >= 1"):
+        build(qm.validate_density(np.eye(3) / 3))

@@ -156,25 +156,6 @@ class TestHermitianEig:
             qm.hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
-class TestKron:
-    def test_identities(self):
-        assert_allclose(qm.kron(np.eye(2), np.eye(3)), np.eye(6))
-
-    def test_corner(self):
-        e11 = np.zeros((2, 2))
-        e11[0, 0] = 1
-        out = qm.kron(e11, e11)
-        expected = np.zeros((4, 4))
-        expected[0, 0] = 1
-        assert_allclose(out, expected)
-
-    def test_diagonal(self):
-        assert_allclose(
-            qm.kron(np.diag([1.0, 0.0]), np.diag([0.3, 0.7])),
-            np.diag([0.3, 0.7, 0.0, 0.0]),
-        )
-
-
 class TestValidateDensity:
     def test_uniform(self):
         dm = qm.validate_density(np.eye(3) / 3)
@@ -214,6 +195,24 @@ class TestValidateDensity:
         dm = qm.validate_density(np.eye(2) / 2)
         with pytest.raises(ValueError):
             dm.matrix[0, 0] = 9.0
+        with pytest.raises(ValueError):
+            dm.eigenvectors[0, 0] = 9.0
+
+    @pytest.mark.parametrize("a", [
+        np.eye(3) / 3,
+        np.eye(4) / 4,
+        qm.random_density(5, 2, seed=17).matrix,
+    ], ids=["I/3", "I/4", "rank-deficient"])
+    def test_eigenbasis_in_hermitian_eig_order(self, a):
+        # constructions read the carried factorization; on ties its column
+        # order decides the output, so it must be hermitian_eig's exactly
+        dm = qm.validate_density(a)
+        w, v = qm.hermitian_eig(a)
+        assert dm.eigenvectors.tobytes() == v.tobytes()
+        assert dm.eigenvalues.tobytes() == np.maximum(w, 0.0).tobytes()
+        assert_allclose(
+            dm.eigenvectors @ np.diag(dm.eigenvalues) @ dm.eigenvectors.conj().T, a, atol=1e-12
+        )
 
 
 class TestRandomDensity:

@@ -90,5 +90,7 @@ class TestCompetitorSpectra:
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(qm.DomainError):
         qm.SamplerConfig(seed=1, trials=0)
+    with pytest.raises(qm.DomainError):
+        qm.SamplerConfig(seed=1, mix_components=0)
