@@ -3,8 +3,9 @@
 One subcommand per library operation; results are single JSON documents
 on stdout (floats at 17 significant digits), diagnostics are
 machine-readable error objects on stderr. Exit codes: 0 success or
-feasible-true, 1 feasible-false or infeasible input, 2 usage error,
-3 numerical validation failure.
+feasible-true, 1 feasible-false or infeasible input, 2 usage error
+(including a request too large to allocate), 3 numerical validation
+failure.
 """
 
 from __future__ import annotations
@@ -389,7 +390,7 @@ def main(argv=None) -> int:
     except (DimensionError, DomainError, InvalidCertificateError) as exc:
         _emit_error("usage", str(exc))
         return 2
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError, MemoryError) as exc:
         _emit_error("usage", f"{type(exc).__name__}: {exc}")
         return 2
     except InternalInvariantError as exc:

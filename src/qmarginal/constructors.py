@@ -1,8 +1,11 @@
 """Explicit constructions of bipartite states with prescribed marginals.
 
-Every construction works in the eigenbasis of the target marginal (where
-it is a sparse exact formula) and is conjugated back by ``I_m (x) V``,
-which maps states over diag(d) to states over V diag(d) V*.
+Every low-rank construction is a factor ``Z0`` of k columns over
+diag(d), the eigenvalues of the target marginal sigma = V diag(d) V*,
+where it is a sparse exact formula. It is lifted by ``I_m (x) V`` to
+``Z`` and the state is ``rho = Z Z*``: rank k by construction, with first
+marginal sigma. The spectra-prescribed construction conjugates its
+blocks by ``I_m (x) U`` directly.
 """
 
 from __future__ import annotations
@@ -20,15 +23,8 @@ from .errors import (
     UnsupportedRegimeError,
 )
 from .feasibility import _positive, _sorted_desc, compat_2x3, element_rank_range
-from .linalg import (
-    BipartiteState,
-    DensityMatrix,
-    bipartite,
-    fold,
-    partial_trace_first,
-    unfold,
-)
-from .majorization import MAJ_TOL, majorizes, schatten_norm
+from .linalg import BipartiteState, DensityMatrix, bipartite, partial_trace_first
+from .majorization import MAJ_TOL, lp_norm, majorizes
 
 SPECTRUM_TOL = 1e-8
 MARGINAL_TOL = 1e-10
@@ -66,16 +62,31 @@ def gadget(eig_hi: float, eig_lo: float, corner: float) -> np.ndarray:
     return np.array([[corner, a], [a, eig_hi + eig_lo - corner]])
 
 
-def _conjugate_up(rho0: np.ndarray, v: np.ndarray, m: int) -> np.ndarray:
-    """(I_m (x) V) rho0 (I_m (x) V)* without forming the Kronecker factor."""
-    n = v.shape[0]
-    mn = m * n
-    # two 2-D products with rows (a, b, .): V on the row index of block (a, b),
-    # then V* on its column index (a batched 3-D matmul rounds differently on
-    # small blocks, which would move every construction in the last bits)
-    left = rho0.reshape(m, n, m, n).transpose(0, 2, 3, 1).reshape(m * mn, n) @ v.T
-    both = left.reshape(m, m, n, n).transpose(0, 1, 3, 2).reshape(m * mn, n) @ v.conj().T
-    return both.reshape(m, m, n, n).transpose(0, 2, 1, 3).reshape(mn, mn)
+def _factor(d: np.ndarray, n: int, m: int, k: int) -> np.ndarray:
+    """(m*n, k) factor Z0 with Z0 Z0* of rank k and first marginal diag(d).
+
+    Needs ceil(r/m) <= k <= r*m for r = len(d). Entry t of max(r, k) puts
+    weight d[t mod r] into column t mod k at first-factor slot t // min(r, k).
+    For k <= r column j superposes the weights j, j+k, ... across slots; for
+    k > r (a diagonal mixture) weight d[l] is shared evenly by the one-entry
+    columns that carry it. No two entries share a row, so the columns are
+    orthogonal, and each block on the diagonal is diagonal, so the partial
+    trace sums to diag(d).
+    """
+    r = d.size
+    t = np.arange(max(r, k))
+    comp, col = t % r, t % k
+    share = np.bincount(comp)[comp]
+    z0 = np.zeros((m * n, k), dtype=complex)
+    z0[t // min(r, k) * n + comp, col] = np.sqrt(d[comp] / share)
+    return z0
+
+
+def _lift(z0: np.ndarray, sigma: DensityMatrix, m: int) -> BipartiteState:
+    """The state Z Z* for Z = (I_m (x) V) Z0, where sigma = V diag(d) V*."""
+    n = sigma.dim
+    z = (sigma.eigenvectors @ z0.reshape(m, n, -1)).reshape(m * n, -1)
+    return bipartite(z @ z.conj().T, m, n)
 
 
 def purify(sigma: DensityMatrix, m: int) -> BipartiteState:
@@ -86,57 +97,7 @@ def purify(sigma: DensityMatrix, m: int) -> BipartiteState:
         raise InfeasibleError(
             f"purification needs first-factor dim >= rank: m={m} < rank={r}"
         )
-    n = sigma.dim
-    cols = np.zeros((n, m), dtype=complex)
-    cols[:, :r] = sigma.eigenvectors[:, :r] * np.sqrt(sigma.eigenvalues[:r])
-    vec = unfold(cols)
-    return bipartite(np.outer(vec, vec.conj()), m, n)
-
-
-def _case_split_counts(r: int, k: int) -> tuple[int, int]:
-    """r = k*q + s with 0 <= q and 1 <= s <= k."""
-    q = (r - 1) // k
-    return q, r - k * q
-
-
-def _low_rank_vectors(d: np.ndarray, n: int, m: int, k: int) -> list[np.ndarray]:
-    """k rank-one vectors over diag(d) summing to a rank-k member (case k <= r).
-
-    Vector j superposes the weight-d components at indices i*k + j across
-    the first-factor slots i; distinct j touch disjoint components, so the
-    vectors are orthogonal and the partial trace telescopes to diag(d).
-    """
-    r = d.size
-    q, s = _case_split_counts(r, k)
-    f = np.sqrt(d)
-    vecs = []
-    for j in range(k):
-        reach = q + 1 if j < s else q
-        vec = np.zeros(m * n, dtype=complex)
-        for i in range(reach):
-            ell = i * k + j
-            vec[i * n + ell] = f[ell]
-        vecs.append(vec)
-    return vecs
-
-
-def _rank_k_in_diagonal_basis(d: np.ndarray, n: int, m: int, k: int) -> np.ndarray:
-    r = d.size
-    mn = m * n
-    if k > r:
-        # diagonal mixture: k = q*r + s with 0 < q < m, 0 < s <= r
-        q = (k - 1) // r
-        s = k - q * r
-        diag = np.zeros(mn)
-        for j in range(r):
-            share = q + 1 if j < s else q
-            for i in range(share):
-                diag[i * n + j] = d[j] / share
-        return np.diag(diag).astype(complex)
-    rho0 = np.zeros((mn, mn), dtype=complex)
-    for vec in _low_rank_vectors(d, n, m, k):
-        rho0 += np.outer(vec, vec.conj())
-    return rho0
+    return construct_rank_k(sigma, m, 1)
 
 
 def construct_rank_k(sigma: DensityMatrix, m: int, k: int) -> BipartiteState:
@@ -151,9 +112,7 @@ def construct_rank_k(sigma: DensityMatrix, m: int, k: int) -> BipartiteState:
         raise InfeasibleError(
             f"rank {k} not attainable with marginal rank {r} and m={m}; range is [{lo}, {hi}]"
         )
-    n = sigma.dim
-    rho0 = _rank_k_in_diagonal_basis(sigma.eigenvalues[:r], n, m, k)
-    return bipartite(_conjugate_up(rho0, sigma.eigenvectors, m), m, n)
+    return _lift(_factor(sigma.eigenvalues[:r], sigma.dim, m, k), sigma, m)
 
 
 def optimal_low_rank(
@@ -169,31 +128,21 @@ def optimal_low_rank(
     _positive("m", m)
     _positive("k", k)
     r = sigma.rank
-    n = sigma.dim
     exact = m * k >= r
     if exact:
         state = construct_rank_k(sigma, m, math.ceil(r / m))
         mu_shift = 0.0
     else:
-        v = sigma.eigenvectors
         lam = sigma.eigenvalues[:r]
         mk = m * k
         mu_shift = float(lam[mk:].sum() / mk)
-        weights = lam[:mk] + mu_shift
-        total = np.zeros((m * n, m * n), dtype=complex)
-        # round-robin split of the mk boosted projectors into k groups of m,
-        # each purified separately; any grouping works, this one is deterministic
-        for g in range(k):
-            idx = np.arange(g, mk, k)
-            cols = np.zeros((n, m), dtype=complex)
-            cols[:, : idx.size] = v[:, idx] * np.sqrt(weights[idx])
-            vec = unfold(cols)
-            total += np.outer(vec, vec.conj())
-        state = bipartite(total, m, n)
+        # the mk boosted weights, spread over k columns of m slots each
+        state = _lift(_factor(lam[:mk] + mu_shift, sigma.dim, m, k), sigma, m)
     achieved = partial_trace_first(state)
     resid = sigma.matrix - achieved
     resid_spec = np.linalg.eigvalsh((resid + resid.conj().T) / 2.0)[::-1].copy()
-    norm_values = {float(p): schatten_norm(resid, p) for p in norms}
+    # ascending order, as schatten_norm sums them
+    norm_values = {float(p): lp_norm(resid_spec[::-1], p) for p in norms}
     return ApproxResult(
         rho=state,
         achieved_sigma=achieved,
@@ -289,24 +238,17 @@ def construct_with_spectra(lam, mu, m: int) -> BipartiteState:
         raise PreconditionError(
             "marginal spectrum is not majorized by the mu block sums"
         )
-    mn = m * n
-    a = np.zeros((mn, mn), dtype=complex)
-    eye_n = np.eye(n)
+    u = horn_unitary(w, lam)
+    # (I (x) U)* (A_k (x) e_k e_k*) (I (x) U) = A_k (x) u_k u_k*, u_k* the k-th row of U
+    a = np.zeros((m * n, m * n), dtype=complex)
     for kk in range(n):
         ak = constant_diagonal_conjugate(blocks[kk])
-        a += np.kron(ak, np.outer(eye_n[kk], eye_n[kk]))
-    u = horn_unitary(w, lam)
-    a = _conjugate_up_adjoint(a, u, m)
+        a += np.kron(ak, np.outer(u[kk].conj(), u[kk]))
     phases = np.exp(
         2j * np.pi * np.outer(np.arange(m), np.arange(1, n + 1)) / m
     ).reshape(-1)
     rho = a * np.outer(phases.conj(), phases)
     return bipartite(rho, m, n)
-
-
-def _conjugate_up_adjoint(rho0: np.ndarray, u: np.ndarray, m: int) -> np.ndarray:
-    """(I_m (x) U)* rho0 (I_m (x) U)."""
-    return _conjugate_up(rho0, u.conj().T, m)
 
 
 def _second_stage_options(rem_sorted):
@@ -424,13 +366,8 @@ def nonextreme_of_rank_k(sigma: DensityMatrix, m: int, k: int) -> BipartiteState
             f"non-extreme members of rank {k} need ceil(r/m) < k <= r, "
             f"i.e. {lo} < k <= {r}"
         )
-    n = sigma.dim
-    vecs = _low_rank_vectors(sigma.eigenvalues[:r], n, m, k - 1)
-    z1 = vecs[0] / np.sqrt(2.0)
-    flipped = fold(z1, m, n)
-    flipped[:, 0] *= -1.0
-    zk = unfold(flipped)
-    rho0 = np.outer(z1, z1.conj()) + np.outer(zk, zk.conj())
-    for vec in vecs[1:]:
-        rho0 += np.outer(vec, vec.conj())
-    return bipartite(_conjugate_up(rho0, sigma.eigenvectors, m), m, n)
+    z0 = _factor(sigma.eigenvalues[:r], sigma.dim, m, k - 1)
+    z1 = z0[:, :1] / np.sqrt(2.0)
+    zk = z1.copy()
+    zk[: sigma.dim] *= -1.0  # flip the first-factor slot 0
+    return _lift(np.hstack([z1, zk, z0[:, 1:]]), sigma, m)

@@ -83,6 +83,8 @@ class BipartiteState:
     rho: DensityMatrix
 
     def __post_init__(self):
+        if self.m < 1 or self.n < 1:
+            raise DimensionError(f"factor dims must be >= 1, got m={self.m}, n={self.n}")
         if self.rho.dim != self.m * self.n:
             raise DimensionError(
                 f"state dim {self.rho.dim} != m*n = {self.m * self.n}"

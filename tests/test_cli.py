@@ -166,6 +166,26 @@ def test_purify(tmp_path, capsys):
     assert np.linalg.matrix_rank(mat, tol=1e-9) == 1
 
 
+def test_ptrace_rejects_negative_factor_dims(tmp_path, capsys):
+    path = write(tmp_path, "i4.json", fileio.matrix_to_doc(np.eye(4) / 4))
+    code, out, err = run_cli(capsys, "ptrace", path, "--side", "first", "--m", "-2", "--n", "-2")
+    assert code == 2
+    assert out is None
+    assert err["error"]["type"] == "usage"
+    assert "m=-2" in err["error"]["message"]
+
+
+@pytest.mark.parametrize("argv", [["construct", "--k", "1"], ["purify"]], ids=["construct", "purify"])
+def test_state_too_large_to_allocate_is_usage_error(uniform3, capsys, argv):
+    # a (300000, 300000) complex state needs 1.31 TiB: the allocation fails at
+    # once (under the default overcommit heuristic), so this test uses no memory
+    code, out, err = run_cli(capsys, argv[0], uniform3, "--m", "100000", *argv[1:])
+    assert code == 2
+    assert out is None
+    assert err["error"]["type"] == "usage"
+    assert "Unable to allocate" in err["error"]["message"]
+
+
 def test_split_on_extreme_state_refused(tmp_path, capsys):
     sig = write(tmp_path, "sig.json", fileio.matrix_to_doc(np.eye(2) / 2))
     _, state_doc, _ = run_cli(capsys, "purify", sig, "--m", "2")

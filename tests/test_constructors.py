@@ -76,6 +76,13 @@ class TestConstructRankK:
                     assert state.rank == k, (sigma.dim, sigma.rank, m, k)
                     assert marginal_error(state, sigma.matrix) <= 1e-10
 
+    def test_minimum_rank_is_extreme_over_corpus(self):
+        for sigma in sigma_corpus(max_n=6):
+            for m in range(1, 5):
+                k = math.ceil(sigma.rank / m)
+                assert qm.is_extreme(qm.construct_rank_k(sigma, m, k)).is_extreme, (
+                    sigma.dim, sigma.rank, m, k)
+
     def test_basis_covariance(self):
         # constructing over a rotated marginal still lands in the rotated set
         sigma = qm.random_density(4, 3, seed=99)
@@ -142,6 +149,9 @@ class TestOptimalLowRank:
                 spectra = qm.competitor_residual_spectra(
                     sigma, m, k, qm.SamplerConfig(seed=7000 + seed, trials=50)
                 )
+                for p in (1.0, 2.0, np.inf):
+                    # taken from residual_spectrum, in schatten_norm's summation order
+                    assert res.norms[p] == qm.schatten_norm(sigma.matrix - res.achieved_sigma, p)
                 for row in spectra:
                     assert qm.majorizes(res.residual_spectrum, row).holds
                     for p in (1.0, 2.0, np.inf):
@@ -363,6 +373,19 @@ class TestNonextreme:
         assert state.rank == 3
         assert marginal_error(state, sigma.matrix) <= 1e-10
         assert not qm.is_extreme(state).is_extreme
+
+    def test_every_rank_over_corpus(self):
+        # every k in (ceil(r/m), r] over the seeded corpus
+        built = 0
+        for sigma in sigma_corpus(max_n=6):
+            for m in range(1, 5):
+                for k in range(math.ceil(sigma.rank / m) + 1, sigma.rank + 1):
+                    state = qm.nonextreme_of_rank_k(sigma, m, k)
+                    assert state.rank == k, (sigma.dim, sigma.rank, m, k)
+                    assert marginal_error(state, sigma.matrix) <= 1e-10
+                    assert not qm.is_extreme(state).is_extreme, (sigma.dim, sigma.rank, m, k)
+                    built += 1
+        assert built == 83
 
     def test_minimum_rank_rejected(self):
         sigma = qm.validate_density(np.eye(3) / 3)

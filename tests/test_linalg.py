@@ -215,6 +215,12 @@ class TestValidateDensity:
         )
 
 
+def test_bipartite_factor_dims_must_be_positive():
+    # m*n = 4 matches the dimension, so only the sign check catches these dims
+    with pytest.raises(qm.DimensionError, match="m=-2, n=-2"):
+        qm.bipartite(np.eye(4) / 4, -2, -2)
+
+
 class TestRandomDensity:
     def test_scalar(self):
         dm = qm.random_density(1, 1, seed=3)
