@@ -2,13 +2,20 @@
 
 A state factored as rho = Z Z* (columns scaled eigenvectors) is an extreme
 point of the set of states sharing its first marginal exactly when the
-family of folded products { [z_i][z_j]* } is linearly independent. The
-test stacks the r^2 vectorized products into an r^2 x n^2 matrix and takes
-one Hermitian eigendecomposition of its Gram matrix on the smaller side.
-When r^2 > n^2 the family is dependent by counting dimensions, so only the
-largest Gram eigenvalue and a null vector of any n^2 + 1 products are
-needed. A null direction doubles as an explicit dependency certificate
-from which a proper convex splitting is built.
+family of folded products P_ij = [z_i][z_j]* is linearly independent.
+
+The test never stacks the r^2 x n^2 products. Their Gram entries
+<P_ij, P_kl> are sums over the m x m blocks A_ik = f_i f_k* of the m x n
+folds f_i, which costs r^4 m^2 instead of r^4 n^2. Since P_ji = P_ij*, the
+map C -> sum C_ij P_ij commutes with C -> C*, so the family is independent
+exactly when it is independent on Hermitian coefficients. The Gram is
+therefore taken over an orthonormal real basis of the Hermitian r x r
+matrices; it is real symmetric and has the complex Gram's spectrum. The
+verdict comes from its eigenvalues alone. Only a dependent family pays for
+eigenvectors: the null vector's coordinates give a Hermitian dependency
+certificate, from which a proper convex splitting is built. When r > n,
+any n + 1 factors give (n+1)^2 > n^2 products, so the same test runs on
+the first n + 1 factors and its certificate is zero-padded to r x r.
 """
 
 from __future__ import annotations
@@ -56,35 +63,68 @@ def _stacked_products(z: np.ndarray, m: int, n: int) -> np.ndarray:
     return prods.reshape(r * r, n * n)
 
 
+def _hermitian_gram(z: np.ndarray, m: int, n: int):
+    """Real Gram of the products over an orthonormal basis of Hermitian coefficients.
+
+    The basis is E_ii, then (E_ij + E_ji)/sqrt2 and then i(E_ij - E_ji)/sqrt2
+    over the pairs i < j. Returns (gram, iu, ju), where (iu, ju) lists the
+    pairs (i, i) and then (i, j), i < j, in basis order.
+    """
+    r = z.shape[1]
+    f = z.T.reshape(r * m, n)  # row i*m + a is row a of the m x n fold f_i of z_i
+    a = (f @ f.conj().T).reshape(r, m, r, m).transpose(0, 2, 1, 3).reshape(r * r, m * m)
+    # a[i*r + k] holds A_ik = f_i f_k*, and flat entry i r^3 + k r^2 + j r + l
+    # of a a* is sum_ab A_ik[a,b] conj(A_jl[a,b]) = conj(<P_ij, P_kl>)
+    # for the products P_ij = [z_i][z_j]* under <X, Y> = tr(X* Y)
+    aa = (a @ a.conj().T).reshape(-1)
+    diag = np.arange(r)
+    upper = np.nonzero(np.tri(r, k=-1, dtype=bool).T)
+    iu = np.concatenate([diag, upper[0]])
+    ju = np.concatenate([diag, upper[1]])
+    lead = (iu * r**3 + ju * r)[:, None]
+    g1 = aa[lead + iu * r * r + ju]  # conj <P_ij, P_kl> over the listed pairs
+    g2 = aa[lead + ju * r * r + iu]  # conj <P_ij, P_lk>
+    del aa
+    # a basis element u E_ij + conj(u) E_ji has u = 1/2 on the diagonal and
+    # 1/sqrt2 or i/sqrt2 off it; its entry with u' E_kl + conj(u') E_lk is
+    # 2 Re(conj(u) u' <P_ij, P_kl> + conj(u) conj(u') <P_ij, P_lk>). With
+    # w = sqrt2 |u|, the symmetric block is w w' Re(g1 + g2), the mixed one
+    # -w w' Im(g1 + g2) and the antisymmetric one Re(g1 - g2)
+    w = np.ones(iu.size)
+    w[:r] = np.sqrt(0.5)
+    herm = (g1 + g2) * np.outer(w, w)
+    p = iu.size
+    gram = np.empty((r * r, r * r))
+    gram[:p, :p] = herm.real
+    gram[p:, :p] = -herm.imag[r:]
+    gram[:p, p:] = gram[p:, :p].T
+    gram[p:, p:] = g1.real[r:, r:] - g2.real[r:, r:]
+    return gram, iu, ju
+
+
 def is_extreme(state: BipartiteState) -> ExtremalityReport:
     """Certify whether a state is extreme among states with its first marginal."""
     z = _scaled_factors(state)
     r = z.shape[1]
-    n2 = state.n ** 2
-    rows = _stacked_products(z, state.m, state.n)
-    if r * r <= n2:
-        w, vecs = np.linalg.eigh(rows @ rows.conj().T)
-        gram_max = float(w[-1])
-        gram_min = max(float(w[0]), 0.0)
-        left_null = vecs[:, 0]
-    else:
-        # more products than dimensions: any n^2 + 1 of them are dependent
-        gram_max = float(np.linalg.eigvalsh(rows.conj().T @ rows)[-1])
-        gram_min = 0.0
-        head = rows[: n2 + 1]
-        left_null = np.zeros(r * r, dtype=complex)
-        left_null[: n2 + 1] = np.linalg.eigh(head @ head.conj().T)[1][:, 0]
+    # (n+1)^2 products in the n^2-dimensional product space are dependent,
+    # so for r > n the first n + 1 factors already give a certificate
+    head = min(r, state.n + 1)
+    gram, iu, ju = _hermitian_gram(z[:, :head], state.m, state.n)
+    w = np.linalg.eigvalsh(gram)
+    gram_max = float(w[-1])
+    gram_min = max(float(w[0]), 0.0) if r <= state.n else 0.0
     extreme = gram_min > INDEP_TOL * gram_max
     marginal = extreme != (gram_min > MARGINAL_INDEP_TOL * gram_max)
     if extreme:
         return ExtremalityReport(True, r, gram_min, None, marginal)
-    # left_null* rows = 0, so conj(left_null) holds the coefficients; the
-    # coefficient set is closed under C -> C* since [z_j][z_i]* = ([z_i][z_j]*)*
-    null = left_null.conj().reshape(r, r)
-    sym = null + null.conj().T
-    skew = 1j * null - 1j * null.conj().T
-    cert = sym if np.linalg.norm(sym) >= np.linalg.norm(skew) else skew
-    cert = cert / np.linalg.norm(cert)
+    # the null vector's coordinates in the Hermitian basis give the certificate
+    null = np.linalg.eigh(gram)[1][:, 0]
+    p = iu.size
+    coef = null[:p].astype(complex)
+    coef[head:] = (coef[head:] + 1j * null[p:]) * np.sqrt(0.5)
+    cert = np.zeros((r, r), dtype=complex)
+    cert[ju, iu] = coef.conj()
+    cert[iu, ju] = coef
     return ExtremalityReport(False, r, gram_min, cert, marginal)
 
 

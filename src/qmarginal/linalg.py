@@ -121,6 +121,8 @@ def _coerce_bipartite(state, m=None, n=None):
     rho = np.asarray(state, dtype=complex)
     if m is None or n is None:
         raise DimensionError("raw matrices need explicit factor dims m and n")
+    if m < 1 or n < 1:
+        raise DimensionError(f"factor dims must be >= 1, got m={m}, n={n}")
     if rho.shape != (m * n, m * n):
         raise DimensionError(f"shape {rho.shape} incompatible with (m, n) = ({m}, {n})")
     return rho, m, n

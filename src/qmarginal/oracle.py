@@ -58,12 +58,14 @@ def random_state_with_marginal(
     weights = rng.uniform(cfg.mix_components)
     weights = weights / weights.sum()
     total = np.zeros((m * n, m * n), dtype=complex)
-    eye_n = np.eye(n)
     for t in range(cfg.mix_components):
         k = lo + rng.index(hi - lo + 1)
         block = construct_rank_k(sigma, m, k).matrix
-        u = np.kron(random_unitary(m, rng), eye_n)
-        total += weights[t] * (u @ block @ u.conj().T)
+        u = random_unitary(m, rng)
+        # (U (x) I_n) x is u @ x.reshape(m, -1); block is Hermitian, so
+        # applying that twice, with an adjoint between, conjugates it by U (x) I_n
+        half = (u @ block.reshape(m, -1)).reshape(m * n, m * n)
+        total += weights[t] * (u @ half.conj().T.reshape(m, -1)).reshape(m * n, m * n)
     return bipartite(total, m, n)
 
 

@@ -173,6 +173,9 @@ class TestExtremalityProperties:
     @example(rotated_member(3, 3, 3, 9, 7))
     @example(rotated_member(4, 2, 2, 8, 8))
     @example(rotated_member(3, 2, 2, 2, 9))  # rank^2 = n^2, extreme
+    # rank-n members at rank^2 = n^2
+    @example(rotated_member(2, 3, 3, 3, 10))
+    @example(rotated_member(3, 4, 4, 4, 11))
     def test_verdict_and_certificate(self, state):
         assert np.iscomplexobj(state.matrix) and np.abs(state.matrix.imag).max() > 0
         z = _scaled_factors(state)
@@ -182,6 +185,9 @@ class TestExtremalityProperties:
         rep = qm.is_extreme(state)
         assert rep.rank == r
         assert rep.gram_min_eig >= 0.0
+        # the real Hermitian-basis Gram has the spectrum of the complex one
+        w = np.linalg.eigvalsh(rows @ rows.conj().T)
+        assert abs(rep.gram_min_eig - w[0]) <= 1e-14 * w[-1]
         if r * r > state.n ** 2:
             assert rep.gram_min_eig == 0.0
         assert rep.is_extreme == (np.linalg.matrix_rank(rows) == r * r)
@@ -213,3 +219,18 @@ def test_memory_stays_bounded_above_n_squared():
         tracemalloc.stop()
     assert not rep.is_extreme
     assert peak < 40e6, f"peak {peak / 1e6:.1f} MB"
+
+
+def test_memory_stays_bounded_at_n_squared():
+    # a rank-16 member at (2, 16): 256 products in a 256-dimensional space.
+    # A Gram formed from the r^2 x n^2 product stack peaks at 3.16 MB under
+    # tracemalloc; one formed from the m x m blocks peaks at 1.82 MB
+    state = qm.construct_rank_k(qm.random_density(16, 16, seed=3), 2, 16)
+    tracemalloc.start()
+    try:
+        rep = qm.is_extreme(state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.rank == 16
+    assert peak < 2.5e6, f"peak {peak / 1e6:.1f} MB"

@@ -221,6 +221,13 @@ def test_bipartite_factor_dims_must_be_positive():
         qm.bipartite(np.eye(4) / 4, -2, -2)
 
 
+@pytest.mark.parametrize("ptrace", [qm.partial_trace_first, qm.partial_trace_second])
+def test_partial_trace_factor_dims_must_be_positive(ptrace):
+    # the raw-matrix path checks the signs before the m*n = 4 shape test
+    with pytest.raises(qm.DimensionError, match="m=-2, n=-2"):
+        ptrace(np.eye(4) / 4, -2, -2)
+
+
 class TestRandomDensity:
     def test_scalar(self):
         dm = qm.random_density(1, 1, seed=3)
