@@ -1,8 +1,12 @@
 """Extreme-point certification for states with a prescribed first marginal.
 
-A state factored as rho = Z Z* (columns scaled eigenvectors) is an extreme
-point of the set of states sharing its first marginal exactly when the
-family of folded products P_ij = [z_i][z_j]* is linearly independent.
+A state factored as rho = Z Z* is an extreme point of the set of states
+sharing its first marginal exactly when the family of folded products
+P_ij = [z_i][z_j]* is linearly independent. Any invertible change of factor
+Z -> Z Q keeps the family's span, so the verdict depends only on the range
+of rho and is taken on the orthonormal eigenvectors V, not on the scaled
+factors Z = V sqrt(lambda): a spread spectrum then cannot shrink the Gram
+ratio by (lambda_min / lambda_max)^2.
 
 The test never stacks the r^2 x n^2 products. Their Gram entries
 <P_ij, P_kl> are sums over the m x m blocks A_ik = f_i f_k* of the m x n
@@ -12,10 +16,15 @@ exactly when it is independent on Hermitian coefficients. The Gram is
 therefore taken over an orthonormal real basis of the Hermitian r x r
 matrices; it is real symmetric and has the complex Gram's spectrum. The
 verdict comes from its eigenvalues alone. Only a dependent family pays for
-eigenvectors: the null vector's coordinates give a Hermitian dependency
-certificate, from which a proper convex splitting is built. When r > n,
-any n + 1 factors give (n+1)^2 > n^2 products, so the same test runs on
-the first n + 1 factors and its certificate is zero-padded to r x r.
+eigenvectors: the null vector H' over V maps to H = H' / (sqrt(lambda_i)
+sqrt(lambda_j)) over Z, a Hermitian dependency certificate from which a
+proper convex splitting is built. When r > n, any n + 1 factors give
+(n+1)^2 > n^2 products, so the same test runs on the first n + 1 factors
+and its certificate is zero-padded to r x r.
+
+A certificate is checked by the marginal it would move: sum_ij H_ij
+[z_i][z_j]* is tr_1(Z H Z*), whose n x n entries are compared with the
+largest product entry, max_{p,i} sum_a |z_i[a n + p]|^2 by Cauchy-Schwarz.
 """
 
 from __future__ import annotations
@@ -25,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidCertificateError
-from .linalg import BipartiteState, bipartite
+from .linalg import BipartiteState, bipartite, partial_trace_first
 
 INDEP_TOL = 1e-8
 MARGINAL_INDEP_TOL = 1e-6
@@ -36,8 +45,11 @@ CERT_RESIDUAL_TOL = 1e-7
 class ExtremalityReport:
     """Verdict plus the Gram evidence and, when dependent, a certificate.
 
-    ``certificate`` is a Hermitian r x r matrix H with
-    sum_ij H[i,j] [z_i][z_j]* = 0; present exactly when not extreme.
+    ``certificate`` is a Hermitian r x r matrix H of unit Frobenius norm with
+    sum_ij H[i,j] [z_i][z_j]* = 0 over the scaled factors z = V sqrt(lambda);
+    present exactly when not extreme. ``gram_min_eig`` is the smallest
+    eigenvalue of the Gram of the products of the orthonormal eigenvectors,
+    so it does not scale with lambda_min^2; it is 0.0 when r > n.
     ``marginal`` flags verdicts that flip between the primary and the
     looser re-check threshold, i.e. numerically borderline inputs.
     """
@@ -53,14 +65,6 @@ def _scaled_factors(state: BipartiteState) -> np.ndarray:
     rho = state.rho
     r = rho.rank
     return rho.eigenvectors[:, :r] * np.sqrt(rho.eigenvalues[:r])
-
-
-def _stacked_products(z: np.ndarray, m: int, n: int) -> np.ndarray:
-    """Row i*r + j is the flattened n x n product [z_i][z_j]*."""
-    r = z.shape[1]
-    folds = z.T.reshape(r, m, n)  # folds[i].T is fold(z[:, i], m, n)
-    prods = np.einsum("iap,jaq->ijpq", folds, folds.conj(), optimize=True)
-    return prods.reshape(r * r, n * n)
 
 
 def _hermitian_gram(z: np.ndarray, m: int, n: int):
@@ -104,12 +108,12 @@ def _hermitian_gram(z: np.ndarray, m: int, n: int):
 
 def is_extreme(state: BipartiteState) -> ExtremalityReport:
     """Certify whether a state is extreme among states with its first marginal."""
-    z = _scaled_factors(state)
-    r = z.shape[1]
+    rho = state.rho
+    r = rho.rank
     # (n+1)^2 products in the n^2-dimensional product space are dependent,
     # so for r > n the first n + 1 factors already give a certificate
     head = min(r, state.n + 1)
-    gram, iu, ju = _hermitian_gram(z[:, :head], state.m, state.n)
+    gram, iu, ju = _hermitian_gram(rho.eigenvectors[:, :head], state.m, state.n)
     w = np.linalg.eigvalsh(gram)
     gram_max = float(w[-1])
     gram_min = max(float(w[0]), 0.0) if r <= state.n else 0.0
@@ -117,15 +121,17 @@ def is_extreme(state: BipartiteState) -> ExtremalityReport:
     marginal = extreme != (gram_min > MARGINAL_INDEP_TOL * gram_max)
     if extreme:
         return ExtremalityReport(True, r, gram_min, None, marginal)
-    # the null vector's coordinates in the Hermitian basis give the certificate
+    # the null vector's coordinates in the Hermitian basis give the dependency
+    # over the eigenvectors; dividing by sqrt(lambda_i lambda_j) moves it to z
     null = np.linalg.eigh(gram)[1][:, 0]
     p = iu.size
     coef = null[:p].astype(complex)
     coef[head:] = (coef[head:] + 1j * null[p:]) * np.sqrt(0.5)
+    coef /= np.sqrt(rho.eigenvalues[iu] * rho.eigenvalues[ju])
     cert = np.zeros((r, r), dtype=complex)
     cert[ju, iu] = coef.conj()
     cert[iu, ju] = coef
-    return ExtremalityReport(False, r, gram_min, cert, marginal)
+    return ExtremalityReport(False, r, gram_min, cert / np.linalg.norm(cert), marginal)
 
 
 def split_nonextreme(
@@ -133,7 +139,7 @@ def split_nonextreme(
 ) -> tuple[BipartiteState, BipartiteState]:
     """Split a non-extreme state into (rho1 + rho2)/2 with rank(rho1) < rank(state).
 
-    Both halves keep the first marginal. The step size 1/max|eig(cert)|
+    Both halves keep the first marginal. The step size t = 1/max|eig(cert)|
     makes I +- t*cert singular on one side; rho1 takes the singular side.
     """
     cert = np.asarray(certificate, dtype=complex)
@@ -143,21 +149,24 @@ def split_nonextreme(
         raise InvalidCertificateError(
             f"certificate shape {cert.shape} does not match rank {r}"
         )
-    rows = _stacked_products(z, state.m, state.n)
-    residual = float(np.abs(cert.reshape(-1) @ rows).max())
-    scale = float(np.abs(cert).max()) * float(np.abs(rows).max()) + 1e-300
+    m, n = state.m, state.n
+    # sum_ij H_ij [z_i][z_j]* is the marginal tr_1(z H z*) that H would move;
+    # the largest product entry, by Cauchy-Schwarz, sits on some [z_i][z_i]*
+    moved = z @ cert @ z.conj().T
+    residual = float(np.abs(partial_trace_first(moved, m, n)).max())
+    largest = float((np.abs(z) ** 2).reshape(m, n, r).sum(axis=0).max())
+    scale = float(np.abs(cert).max()) * largest + 1e-300
     if residual > CERT_RESIDUAL_TOL * scale:
         raise InvalidCertificateError(
             f"certificate does not annihilate the factor products (residual {residual:.3e})"
         )
     eta = np.linalg.eigvalsh((cert + cert.conj().T) / 2.0)
     extreme_eig = eta[-1] if abs(eta[-1]) >= abs(eta[0]) else eta[0]
-    t = 1.0 / abs(extreme_eig)
-    shift = z @ (t * cert) @ z.conj().T
+    moved /= abs(extreme_eig)  # the step t = 1/max|eig(cert)|
     base = z @ z.conj().T
-    plus = base + shift
-    minus = base - shift
+    plus = base + moved
+    minus = base - moved
     singular_first = (minus, plus) if extreme_eig > 0 else (plus, minus)
-    rho1 = bipartite(singular_first[0], state.m, state.n)
-    rho2 = bipartite(singular_first[1], state.m, state.n)
+    rho1 = bipartite(singular_first[0], m, n)
+    rho2 = bipartite(singular_first[1], m, n)
     return rho1, rho2

@@ -195,6 +195,20 @@ def test_split_on_extreme_state_refused(tmp_path, capsys):
     assert "extreme" in err["error"]["message"]
 
 
+def test_spread_spectrum_on_one_by_n_is_extreme(tmp_path, capsys):
+    # S(sigma) = {sigma} on a (1, n) system, however spread sigma's spectrum
+    d = np.array([1, 0.5, 1e-4, 5e-5])
+    state = qm.construct_rank_k(qm.validate_density(np.diag(d / d.sum())), 1, 4)
+    state_path = write(tmp_path, "spread.json", fileio.state_to_doc(state))
+    code, rep, _ = run_cli(capsys, "extreme", state_path)
+    assert code == 0
+    assert rep["is_extreme"] is True
+    code, out, err = run_cli(capsys, "split", state_path)
+    assert code == 1
+    assert out is None
+    assert err["error"]["type"] == "infeasible"
+
+
 def test_spectra_construct(tmp_path, capsys):
     lam = write(tmp_path, "lam.json", fileio.spectrum_to_doc([0.5, 0.5]))
     mu = write(tmp_path, "mu.json", fileio.spectrum_to_doc([0.5, 0.5, 0.0, 0.0]))

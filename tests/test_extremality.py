@@ -6,7 +6,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import qmarginal as qm
-from qmarginal.extremality import _scaled_factors, _stacked_products
+from qmarginal.extremality import CERT_RESIDUAL_TOL, _scaled_factors
 from qmarginal.linalg import fold
 
 from helpers import haar_unitary, sigma_corpus
@@ -80,9 +80,9 @@ class TestIsExtreme:
         state = qm.construct_rank_k(qm.random_density(4, 4, seed=62), 2, 3)
         z = _scaled_factors(state)
         r = z.shape[1]
-        rows = _stacked_products(z, state.m, state.n)
+        rows = stacked_products_loop(z, state.m, state.n)
         q = haar_unitary(r, 63)
-        rows_q = _stacked_products(z @ q, state.m, state.n)
+        rows_q = stacked_products_loop(z @ q, state.m, state.n)
         def verdict(rows):
             s = np.linalg.svd(rows, compute_uv=False)
             gmin = s[-1] ** 2 if rows.shape[0] <= rows.shape[1] else 0.0
@@ -176,17 +176,21 @@ class TestExtremalityProperties:
     # rank-n members at rank^2 = n^2
     @example(rotated_member(2, 3, 3, 3, 10))
     @example(rotated_member(3, 4, 4, 4, 11))
+    # generic rank > n states: a non-degenerate spectrum under the certificate
+    @example(qm.bipartite(qm.random_density(6, 4, seed=12).matrix, 2, 3))
+    @example(qm.bipartite(qm.random_density(8, 6, seed=13).matrix, 2, 4))
     def test_verdict_and_certificate(self, state):
         assert np.iscomplexobj(state.matrix) and np.abs(state.matrix.imag).max() > 0
         z = _scaled_factors(state)
         r = z.shape[1]
         rows = stacked_products_loop(z, state.m, state.n)
-        assert np.allclose(_stacked_products(z, state.m, state.n), rows, rtol=0, atol=1e-14)
         rep = qm.is_extreme(state)
         assert rep.rank == r
         assert rep.gram_min_eig >= 0.0
         # the real Hermitian-basis Gram has the spectrum of the complex one
-        w = np.linalg.eigvalsh(rows @ rows.conj().T)
+        # over the products of the orthonormal eigenvectors
+        v_rows = stacked_products_loop(state.rho.eigenvectors[:, :r], state.m, state.n)
+        w = np.linalg.eigvalsh(v_rows @ v_rows.conj().T)
         assert abs(rep.gram_min_eig - w[0]) <= 1e-14 * w[-1]
         if r * r > state.n ** 2:
             assert rep.gram_min_eig == 0.0
@@ -234,3 +238,124 @@ def test_memory_stays_bounded_at_n_squared():
         tracemalloc.stop()
     assert rep.rank == 16
     assert peak < 2.5e6, f"peak {peak / 1e6:.1f} MB"
+
+
+def diag_sigma(d):
+    d = np.asarray(d, dtype=float)
+    return qm.validate_density(np.diag(d / d.sum()))
+
+
+@pytest.mark.parametrize("state", [
+    # |0><0| (x) sigma, a product state: lambda_min / lambda_max ~ 2e-5
+    qm.construct_rank_k(qm.random_density(16, 16, seed=3), 2, 16),
+    # S(sigma) = {sigma} on a (1, n) system
+    qm.construct_rank_k(diag_sigma([1, 0.5, 1e-4, 5e-5]), 1, 4),
+    qm.construct_rank_k(diag_sigma([1, 0.9, 1e-5, 1e-5]), 2, 3),
+    qm.construct_rank_k(diag_sigma([1, 0.9, 1e-5, 1e-5]), 2, 4),
+], ids=["2x16-rank16", "1x4-spread", "2x4-rank3-spread", "2x4-rank4-spread"])
+def test_verdict_ignores_spectrum_spread(state):
+    rep = qm.is_extreme(state)
+    assert rep.is_extreme is True
+    assert rep.marginal is False
+    assert rep.certificate is None
+
+
+def spread_sigma(n, r, seed):
+    """Rank-r density on C^n in a Haar basis whose spectrum spans 1 to 1e-8."""
+    rng = qm.PortableRng(seed)
+    d = np.zeros(n)
+    d[:r] = np.sort(10.0 ** np.concatenate([[0.0, -8.0], -8.0 * rng.uniform(r)])[:r])[::-1]
+    u = haar_unitary(n, seed + 1)
+    return qm.validate_density(u @ np.diag(d / d.sum()) @ u.conj().T)
+
+
+def spread_member(m, n, r, k, thin, seed):
+    """Rotated rank-k member over a spread sigma; from nonextreme_of_rank_k when thin."""
+    sigma = spread_sigma(n, r, seed)
+    build = qm.nonextreme_of_rank_k if thin else qm.construct_rank_k
+    return first_factor_rotated(build(sigma, m, k), seed + 2), sigma, thin
+
+
+@st.composite
+def spread_members(draw):
+    m = draw(st.integers(1, 3))
+    n = draw(st.integers(2, 5))
+    r = draw(st.integers(2, n))
+    lo, hi = qm.element_rank_range(r, m)
+    thin = lo < r and draw(st.booleans())
+    k = draw(st.integers(lo + 1, r)) if thin else draw(st.integers(lo, hi))
+    return spread_member(m, n, r, k, thin, draw(st.integers(0, 10_000)))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(spread_members())
+@example(spread_member(1, 4, 4, 4, False, 20))
+@example(spread_member(2, 4, 4, 2, False, 21))
+@example(spread_member(2, 4, 4, 3, True, 22))
+@example(spread_member(3, 5, 5, 4, True, 23))
+@example(spread_member(2, 3, 3, 6, False, 24))
+def test_spread_spectra_verdict_and_split(member):
+    state, sigma, thin = member
+    rep = qm.is_extreme(state)
+    assert rep.rank == state.rank
+    if thin:
+        assert not rep.is_extreme
+    if state.rank == qm.element_rank_range(sigma.rank, state.m).k_min:
+        assert rep.is_extreme
+    if rep.is_extreme:
+        return
+    rho1, rho2 = qm.split_nonextreme(state, rep.certificate)
+    assert rho1.rank < state.rank
+    target = qm.partial_trace_first(state)
+    for part in (rho1, rho2):
+        assert np.abs(qm.partial_trace_first(part) - target).max() <= 1e-10
+
+
+def test_certificate_check_matches_product_stack():
+    # split_nonextreme accepts a certificate exactly when the reference
+    # |H . rows| <= tol max|H| max|rows| over the stacked products does
+    states = [
+        qm.bipartite(np.eye(6) / 6, 2, 3),
+        qm.nonextreme_of_rank_k(qm.random_density(4, 4, seed=70), 2, 3),
+        rotated_member(2, 3, 3, 5, 71),
+        first_factor_rotated(qm.nonextreme_of_rank_k(qm.random_density(5, 5, seed=72), 3, 4), 73),
+    ]
+    rng = qm.PortableRng(74)
+    seen = set()
+    for state in states:
+        z = _scaled_factors(state)
+        r = z.shape[1]
+        rows = stacked_products_loop(z, state.m, state.n)
+        base = qm.is_extreme(state).certificate
+        for eps in np.logspace(-12, 0, 25):
+            g = rng.complex_normal((r, r))
+            h = base + eps * (g + g.conj().T)
+            residual = np.abs(h.reshape(-1) @ rows).max()
+            accept = residual <= CERT_RESIDUAL_TOL * np.abs(h).max() * np.abs(rows).max()
+            seen.add(bool(accept))
+            try:
+                qm.split_nonextreme(state, h)
+                rejected = False
+            except qm.InvalidCertificateError:
+                rejected = True
+            except qm.ValidationError:
+                rejected = False  # passed the check; the halves' trace drifted
+            assert rejected != accept, (state.m, state.n, r, eps)
+    assert seen == {True, False}
+
+
+def test_split_memory_stays_bounded():
+    # a rank-17 member at (2, 32): its 289 x 1024 complex product stack alone
+    # is 4.7 MB; z H z* and its partial trace need a few 64 x 64 blocks
+    sigma = qm.random_density(32, 32, seed=5)
+    state = qm.nonextreme_of_rank_k(sigma, 2, 17)
+    cert = qm.is_extreme(state).certificate
+    tracemalloc.start()
+    try:
+        rho1, _ = qm.split_nonextreme(state, cert)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rho1.rank < 17
+    assert peak < 3e6, f"peak {peak / 1e6:.1f} MB"
