@@ -82,11 +82,16 @@ def _factor(d: np.ndarray, n: int, m: int, k: int) -> np.ndarray:
     return z0
 
 
+def _lifted(z0: np.ndarray, sigma: DensityMatrix, m: int) -> np.ndarray:
+    """Z = (I_m (x) V) Z0, where sigma = V diag(d) V*."""
+    n = sigma.dim
+    return (sigma.eigenvectors @ z0.reshape(m, n, -1)).reshape(m * n, -1)
+
+
 def _lift(z0: np.ndarray, sigma: DensityMatrix, m: int) -> BipartiteState:
     """The state Z Z* for Z = (I_m (x) V) Z0, where sigma = V diag(d) V*."""
-    n = sigma.dim
-    z = (sigma.eigenvectors @ z0.reshape(m, n, -1)).reshape(m * n, -1)
-    return bipartite(z @ z.conj().T, m, n)
+    z = _lifted(z0, sigma, m)
+    return bipartite(z @ z.conj().T, m, sigma.dim)
 
 
 def purify(sigma: DensityMatrix, m: int) -> BipartiteState:
@@ -251,21 +256,34 @@ def construct_with_spectra(lam, mu, m: int) -> BipartiteState:
     return bipartite(rho, m, n)
 
 
-def _second_stage_options(rem_sorted):
-    """(single, lo, hi) assignments of the three leftover indices."""
-    a, b, c = rem_sorted  # descending mu values
-    return [(a, c, b), (b, c, a), (c, b, a)]
+# five bracketing intervals for the top marginal eigenvalue, as (pivot, lo, hi)
+# 0-based indices into the descending joint spectrum
+_PROOF_FIRST = ((4, 3, 2), (4, 2, 1), (1, 4, 3), (1, 3, 2), (1, 2, 0))
+# which marginal eigenvalue each gadget serves: the proof intervals target the
+# largest first, but boundary cases pair another one first
+_TARGET_ORDERS = ((0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1))
 
 
 def construct_23(lam, mu) -> BipartiteState:
     """State on a (2, 3) system with joint spectrum mu and marginal spectrum lam.
 
     Feasible exactly when ``compat_2x3`` holds. The state is assembled from
-    two 2x2 gadgets embedded across the blocks plus two uncoupled diagonal
-    entries; candidate index assignments are tried in a deterministic
-    order (the five bracketing intervals for the top marginal eigenvalue
-    first, then an exhaustive sweep) and each candidate is accepted only
-    if the assembled matrix reproduces both spectra.
+    two 2x2 gadgets coupling entries (1, 3) and (2, 4) across the blocks
+    plus two uncoupled diagonal entries. Candidate index assignments are
+    generated lazily in a deterministic order: the five bracketing
+    intervals for the top marginal eigenvalue first, then an exhaustive
+    sweep. Both couplings lie off the diagonal blocks, so the marginal of a
+    candidate with diagonal d is exactly diag(d0+d3, d1+d4, d2+d5); a
+    candidate whose sorted sums miss lam by more than MARGINAL_TOL is
+    dropped before any matrix is built. The first one that passes is
+    validated by ``bipartite``, and its spectrum from that one
+    eigendecomposition must lie within SPECTRUM_TOL of mu.
+
+    ``compat_2x3`` accepts pairs whose inequalities fail by up to MAJ_TOL,
+    where a clamped gadget misses lam by the whole marginal tolerance. If
+    no candidate passes, the search is run once more on mu moved onto the
+    exact feasible set (see ``_feasible_mu``), a shift of a few MAJ_TOL
+    that the spectrum tolerance absorbs.
     """
     lam = np.sort(np.asarray(lam, dtype=float).reshape(-1))[::-1]
     mu = np.sort(np.asarray(mu, dtype=float).reshape(-1))[::-1]
@@ -275,78 +293,106 @@ def construct_23(lam, mu) -> BipartiteState:
     if not report.holds:
         failed = [c.name for c in report.checks if not c.passed]
         raise InfeasibleError(f"spectra incompatible for a (2,3) system: {failed}")
+    lam, mu = lam.tolist(), mu.tolist()
+    state = _search_23(lam, mu, mu)
+    if state is None:
+        state = _search_23(lam, _feasible_mu(lam, mu), mu)
+    if state is None:
+        raise InternalInvariantError(
+            "no admissible gadget assignment found for a compatible pair; "
+            f"lam={lam} mu={mu}"
+        )
+    return state
 
+
+def _search_23(lam, build_mu, mu) -> BipartiteState | None:
+    """The first candidate from build_mu with marginal spectrum lam and spectrum mu."""
+    for d, a, b in _candidates_23(lam, build_mu):
+        marginal = sorted((d[0] + d[3], d[1] + d[4], d[2] + d[5]), reverse=True)
+        if max(abs(x - y) for x, y in zip(marginal, lam)) > MARGINAL_TOL:
+            continue
+        state = bipartite(_assemble_23(d, a, b), 2, 3)
+        got = state.rho.eigenvalues.tolist()
+        if max(abs(x - y) for x, y in zip(got, mu)) <= SPECTRUM_TOL:
+            return state
+    return None
+
+
+def _first_gadgets(mu):
+    """(pivot, lo, hi) of the first gadget: the proof intervals, then every other."""
+    yield from _PROOF_FIRST
+    for hi in range(6):
+        for lo in range(6):
+            if lo == hi or mu[lo] > mu[hi]:
+                continue
+            for p in range(6):
+                if p not in (lo, hi) and (p, lo, hi) not in _PROOF_FIRST:
+                    yield p, lo, hi
+
+
+def _candidates_23(lam, mu):
+    """(diagonal, coupling (1, 3), coupling (2, 4)) of each gadget assignment, in search order.
+
+    lam and mu are descending lists of floats.
+    """
     tol = MAJ_TOL
-    # five bracketing intervals for the top marginal eigenvalue, as
-    # (pivot, lo, hi) 0-based indices into the sorted joint spectrum
-    proof_first = [(4, 3, 2), (4, 2, 1), (1, 4, 3), (1, 3, 2), (1, 2, 0)]
-    all_first = [
-        (p, lo, hi)
-        for hi in range(6)
-        for lo in range(6)
-        if mu[lo] <= mu[hi] and lo != hi
-        for p in range(6)
-        if p not in (lo, hi)
-    ]
-    first_candidates = proof_first + [c for c in all_first if c not in proof_first]
-    # which marginal eigenvalue each gadget serves: the documented intervals
-    # target the largest first, but boundary cases pair another one first
-    target_orders = [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)]
-
-    for t1, t2 in target_orders:
-        for p1, lo1, hi1 in first_candidates:
+    for t1, t2 in _TARGET_ORDERS:
+        target = lam[t2]
+        for p1, lo1, hi1 in _first_gadgets(mu):
             if not (mu[p1] + mu[lo1] - tol <= lam[t1] <= mu[p1] + mu[hi1] + tol):
                 continue
             hat_lo1 = min(max(lam[t1] - mu[p1], mu[lo1]), mu[hi1])
             hat_hi1 = mu[lo1] + mu[hi1] - hat_lo1
-            rem = sorted(set(range(6)) - {p1, lo1, hi1})
-            target = lam[t2]
-            second = []
-            for single, lo2, hi2 in _second_stage_options(rem):
-                # second pivot is the uncoupled entry
-                second.append((single, lo2, hi2, mu[single], "single"))
-                # or the displaced half of the first gadget
-                second.append((single, lo2, hi2, hat_hi1, "displaced"))
-            for single, lo2, hi2, pivot, mode in second:
-                if not (pivot + mu[lo2] - tol <= target <= pivot + mu[hi2] + tol):
-                    continue
-                hat_lo2 = min(max(target - pivot, mu[lo2]), mu[hi2])
-                hat_hi2 = mu[lo2] + mu[hi2] - hat_lo2
-                if mode == "single":
-                    g2a, g2b = hat_lo2, hat_hi2
-                else:
-                    g2a, g2b = hat_hi2, hat_lo2
-                state = _assemble_23(
-                    mu[p1], hat_hi1, g2a, hat_lo1, g2b, mu[single],
-                    _gadget_offdiag(hat_lo1, hat_hi1, mu[lo1], mu[hi1]),
-                    _gadget_offdiag(hat_lo2, hat_hi2, mu[lo2], mu[hi2]),
-                )
-                if _verify_23(state, lam, mu):
-                    return bipartite(state, 2, 3)
-    raise InternalInvariantError(
-        "no admissible gadget assignment found for a compatible pair; "
-        f"lam={lam.tolist()} mu={mu.tolist()}"
-    )
+            a = _gadget_offdiag(hat_lo1, hat_hi1, mu[lo1], mu[hi1])
+            x, y, z = (i for i in range(6) if i not in (p1, lo1, hi1))  # descending mu
+            for single, lo2, hi2 in ((x, z, y), (y, z, x), (z, y, x)):
+                # the second pivot is the uncoupled entry, or the displaced
+                # half of the first gadget
+                for pivot, displaced in ((mu[single], False), (hat_hi1, True)):
+                    if not (pivot + mu[lo2] - tol <= target <= pivot + mu[hi2] + tol):
+                        continue
+                    hat_lo2 = min(max(target - pivot, mu[lo2]), mu[hi2])
+                    hat_hi2 = mu[lo2] + mu[hi2] - hat_lo2
+                    g2a, g2b = (hat_hi2, hat_lo2) if displaced else (hat_lo2, hat_hi2)
+                    d = (mu[p1], hat_hi1, g2a, hat_lo1, g2b, mu[single])
+                    yield d, a, _gadget_offdiag(hat_lo2, hat_hi2, mu[lo2], mu[hi2])
+
+
+def _feasible_mu(lam, mu) -> list[float]:
+    """mu moved onto the exact (2, 3) feasible set for lam, with its sum matched to lam's.
+
+    Each of ``compat_2x3``'s inequalities that fails gets its missing slack
+    from one end of mu: raising mu1 and mu2 only helps lambda1 <= mu1+mu2
+    and lambda3 <= mu2+mu3, lowering mu5 and mu6 only helps mu4+mu5 <=
+    lambda1 and mu5+mu6 <= lambda3, and each move keeps mu descending. The
+    trace of the marginal is the trace of the state, so the remaining
+    difference of sums goes to mu1 or mu6, which again worsens no
+    inequality. For a pair ``compat_2x3`` accepts, the shift is a few
+    MAJ_TOL.
+    """
+    m1, m2, m3, m4, m5, m6 = mu
+    l1, _, l3 = lam
+    up2 = max(l3 - (m2 + m3), 0.0)
+    up1 = max(l1 - (m1 + m2) - up2, m2 + up2 - m1, 0.0)
+    down5 = max(m4 + m5 - l1, 0.0)
+    down6 = max(m5 + m6 - l3 - down5, down5 - (m5 - m6), 0.0)
+    gap = sum(lam) - (sum(mu) + up1 + up2 - down5 - down6)
+    if gap > 0.0:
+        up1 += gap
+    else:
+        down6 -= gap
+    return [m1 + up1, m2 + up2, m3, m4, m5 - down5, m6 - down6]
 
 
 def _gadget_offdiag(hat_a, hat_b, mu_a, mu_b) -> float:
     return math.sqrt(max(hat_a * hat_b - mu_a * mu_b, 0.0))
 
 
-def _assemble_23(d0, d1, d2, d3, d4, d5, a, b) -> np.ndarray:
-    out = np.diag(np.array([d0, d1, d2, d3, d4, d5], dtype=float)).astype(complex)
+def _assemble_23(d, a, b) -> np.ndarray:
+    out = np.diag(np.array(d, dtype=float)).astype(complex)
     out[1, 3] = out[3, 1] = a
     out[2, 4] = out[4, 2] = b
     return out
-
-
-def _verify_23(state, lam, mu) -> bool:
-    got_mu = np.linalg.eigvalsh(state)[::-1]
-    if np.abs(got_mu - mu).max() > SPECTRUM_TOL:
-        return False
-    red = partial_trace_first(state, 2, 3)
-    got_lam = np.linalg.eigvalsh((red + red.conj().T) / 2.0)[::-1]
-    return np.abs(got_lam - lam).max() <= MARGINAL_TOL
 
 
 def nonextreme_of_rank_k(sigma: DensityMatrix, m: int, k: int) -> BipartiteState:

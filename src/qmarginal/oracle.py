@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .constructors import construct_rank_k
+from .constructors import _factor, _lifted
 from .errors import DomainError
 from .feasibility import element_rank_range
 from .linalg import BipartiteState, DensityMatrix, bipartite
@@ -48,24 +48,24 @@ def random_state_with_marginal(
 ) -> BipartiteState:
     """Random state whose first marginal is exactly sigma.
 
-    Convex combination of rank-k building blocks at random feasible ranks,
-    each rotated on the first factor (which leaves the first marginal
-    untouched).
+    Convex combination of rank-k building blocks Z Z* at random feasible
+    ranks, each rotated on the first factor (which leaves the first
+    marginal untouched). Only the mixture is validated.
     """
     rng = PortableRng(cfg.seed)
     n = sigma.dim
-    lo, hi = element_rank_range(sigma.rank, m)
+    r = sigma.rank
+    lo, hi = element_rank_range(r, m)
     weights = rng.uniform(cfg.mix_components)
     weights = weights / weights.sum()
     total = np.zeros((m * n, m * n), dtype=complex)
     for t in range(cfg.mix_components):
         k = lo + rng.index(hi - lo + 1)
-        block = construct_rank_k(sigma, m, k).matrix
+        z = _lifted(_factor(sigma.eigenvalues[:r], n, m, k), sigma, m)
         u = random_unitary(m, rng)
-        # (U (x) I_n) x is u @ x.reshape(m, -1); block is Hermitian, so
-        # applying that twice, with an adjoint between, conjugates it by U (x) I_n
-        half = (u @ block.reshape(m, -1)).reshape(m * n, m * n)
-        total += weights[t] * (u @ half.conj().T.reshape(m, -1)).reshape(m * n, m * n)
+        # (U (x) I_n) Z is u @ Z.reshape(m, -1)
+        w = (u @ z.reshape(m, -1)).reshape(m * n, k)
+        total += weights[t] * (w @ w.conj().T)
     return bipartite(total, m, n)
 
 

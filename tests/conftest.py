@@ -1,4 +1,27 @@
 import os
 import sys
 
+import numpy as np
+import pytest
+
 sys.path.insert(0, os.path.dirname(__file__))
+
+
+@pytest.fixture
+def eig_calls(monkeypatch):
+    """Names of the np.linalg eigensolvers called from inside qmarginal, in call order."""
+    calls = []
+
+    def counted(name):
+        real = getattr(np.linalg, name)
+
+        def wrapper(*args, **kwargs):
+            if sys._getframe(1).f_globals.get("__name__", "").startswith("qmarginal"):
+                calls.append(name)
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counted(name))
+    return calls

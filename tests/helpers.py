@@ -2,7 +2,14 @@
 
 import numpy as np
 
-from qmarginal import PortableRng, random_density, random_unitary
+from qmarginal import (
+    PortableRng,
+    SamplerConfig,
+    compat_2x3,
+    random_density,
+    random_unitary,
+    spectra_pair_census,
+)
 
 
 def random_hermitian(dim, rng):
@@ -46,3 +53,28 @@ def sigma_corpus(max_n=6, seed=1234):
 
 def haar_unitary(dim, seed):
     return random_unitary(dim, PortableRng(seed))
+
+
+def band_edge_pairs(count, seed):
+    """(2, 3) pairs that compat_2x3 accepts only inside its tolerance band.
+
+    Each pair is the last one accepted when bisecting, over 60 steps, the
+    segment from a census pair (feasible) to a random pair that
+    compat_2x3 rejects, so one inequality fails by about MAJ_TOL.
+    """
+    rng = PortableRng(seed)
+    out = []
+    for lam_in, mu_in in spectra_pair_census(2, 3, SamplerConfig(seed=seed, trials=count)):
+        while True:
+            lam_out, mu_out = random_prob_vector(3, rng), random_prob_vector(6, rng)
+            if not compat_2x3(lam_out, mu_out).holds:
+                break
+        lo, hi = 0.0, 1.0
+        for _ in range(60):
+            t = (lo + hi) / 2
+            if compat_2x3((1 - t) * lam_in + t * lam_out, (1 - t) * mu_in + t * mu_out).holds:
+                lo = t
+            else:
+                hi = t
+        out.append(((1 - lo) * lam_in + lo * lam_out, (1 - lo) * mu_in + lo * mu_out))
+    return out

@@ -274,6 +274,24 @@ def test_construct23_infeasible_pair(tmp_path, capsys):
     assert err["error"]["type"] == "infeasible"
 
 
+def test_construct23_agrees_with_compat_at_band_edge(tmp_path, capsys):
+    # the slack of lambda1 <= mu1+mu2 is -1e-10: compat_2x3 accepts the pair
+    # only inside its MAJ_TOL band
+    lam_v = [0.6481379730610417, 0.22166136122884944, 0.13020066571010885]
+    mu_v = [0.3915197345887575, 0.2566182383722843, 0.14535394823968167,
+            0.10527630286326911, 0.06870245961829173, 0.03252931631771578]
+    lam = write(tmp_path, "lam.json", fileio.spectrum_to_doc(lam_v))
+    mu = write(tmp_path, "mu.json", fileio.spectrum_to_doc(mu_v))
+    code, out, _ = run_cli(capsys, "compat", lam, mu)
+    assert code == 0 and out["holds"] is True
+    code, out, _ = run_cli(capsys, "construct23", lam, mu)
+    assert code == 0
+    rho = fileio.doc_to_matrix(out)
+    assert np.abs(np.linalg.eigvalsh(rho)[::-1] - mu_v).max() <= 1e-8
+    red = np.einsum("aiaj->ij", rho.reshape(2, 3, 2, 3))
+    assert np.abs(np.linalg.eigvalsh(red)[::-1] - lam_v).max() <= 1e-10
+
+
 def test_extreme_cert_out(tmp_path, capsys):
     state = qm.construct_rank_k(qm.validate_density(np.eye(3) / 3), 2, 5)
     state_path = write(tmp_path, "state.json", fileio.state_to_doc(state))

@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 import qmarginal as qm
 
-from helpers import haar_unitary, random_prob_vector, sigma_corpus, t_transform_mix
+from helpers import band_edge_pairs, haar_unitary, random_prob_vector, sigma_corpus, t_transform_mix
 
 
 def marginal_error(state, sigma_matrix):
@@ -277,12 +277,24 @@ class TestGadget:
             qm.gadget(0.3, 0.1, 0.5)
 
 
+def built_23(lam, mu, eig_calls):
+    """construct_23(lam, mu), checked to take one eigendecomposition and to meet both tolerances."""
+    before = len(eig_calls)
+    state = qm.construct_23(lam, mu)
+    assert len(eig_calls) - before == 1
+    lam = np.sort(np.asarray(lam, float))[::-1]
+    mu = np.sort(np.asarray(mu, float))[::-1]
+    rho = state.matrix
+    assert np.abs(np.linalg.eigvalsh(rho)[::-1] - mu).max() <= 1e-8
+    red = np.einsum("aiaj->ij", rho.reshape(2, 3, 2, 3))
+    assert np.abs(np.linalg.eigvalsh(red)[::-1] - lam).max() <= 1e-10
+    return state
+
+
 class TestConstruct23:
-    def test_uniform_marginal_rank3(self):
-        state = qm.construct_23([1 / 3, 1 / 3, 1 / 3], [1 / 3, 1 / 3, 1 / 3, 0, 0, 0])
+    def test_uniform_marginal_rank3(self, eig_calls):
+        state = built_23([1 / 3, 1 / 3, 1 / 3], [1 / 3, 1 / 3, 1 / 3, 0, 0, 0], eig_calls)
         assert_allclose(state.rho.eigenvalues, [1 / 3, 1 / 3, 1 / 3, 0, 0, 0], atol=1e-8)
-        lam = qm.spectrum(qm.partial_trace_first(state))
-        assert_allclose(lam, np.full(3, 1 / 3), atol=1e-10)
 
     def test_pure_marginal_tensor(self):
         state = qm.construct_23([1.0, 0.0, 0.0], [0.5, 0.5, 0.0, 0.0, 0.0, 0.0])
@@ -291,19 +303,45 @@ class TestConstruct23:
         second = qm.partial_trace_second(state)
         assert_allclose(np.linalg.eigvalsh(second)[::-1], [0.5, 0.5], atol=1e-8)
 
-    def test_hand_checked_pair(self):
-        lam = [0.5, 0.3, 0.2]
-        mu = [0.4, 0.3, 0.2, 0.1, 0.0, 0.0]
-        # inequalities by hand: 0.1 <= 0.5 <= 0.7 and 0.0 <= 0.2 <= 0.5
-        state = qm.construct_23(lam, mu)
-        assert_allclose(state.rho.eigenvalues, mu, atol=1e-8)
-        assert_allclose(qm.spectrum(qm.partial_trace_first(state)), lam, atol=1e-10)
+    # inequalities by hand: 0.1 <= 0.5 <= 0.7 and 0.0 <= 0.2 <= 0.5. In the
+    # documented order, target order (0, 1) and the fourth proof interval
+    # (pivot mu2, gadget {mu4, mu3}) place lambda1 = 0.3 + 0.2; the first
+    # second-stage option (single mu1, gadget {mu6, mu1}) misses lambda2,
+    # and the second (single mu5 = 0, gadget {mu6, mu1}) gives the diagonal
+    # below, whose marginal diagonal (0.5, 0.2, 0.3) is lam out of order.
+    HAND_LAM = [0.5, 0.3, 0.2]
+    HAND_MU = [0.4, 0.3, 0.2, 0.1, 0.0, 0.0]
+    HAND_DIAG = [0.3, 0.1, 0.3, 0.2, 0.1, 0.0]
+
+    def test_hand_checked_pair(self, eig_calls):
+        state = built_23(self.HAND_LAM, self.HAND_MU, eig_calls)
+        assert_allclose(np.diagonal(state.matrix).real, self.HAND_DIAG, atol=1e-15)
+
+    def test_spectrum_checked_from_validation(self, monkeypatch):
+        # a first validated candidate whose spectrum is off (its marginal and
+        # trace untouched) is rejected, and the next one in order is returned
+        real = qm.constructors.bipartite
+        seen = []
+
+        def corrupt_first(a, m, n):
+            if not seen:
+                a = a.copy()
+                a[0, 0] += 1e-6
+                a[3, 3] -= 1e-6
+            seen.append(a)
+            return real(a, m, n)
+
+        monkeypatch.setattr(qm.constructors, "bipartite", corrupt_first)
+        state = qm.construct_23(self.HAND_LAM, self.HAND_MU)
+        assert len(seen) == 2
+        assert np.abs(np.linalg.eigvalsh(state.matrix)[::-1] - self.HAND_MU).max() <= 1e-8
+        assert_allclose(np.diagonal(state.matrix).real, [0.3, 0.1, 0.2, 0.2, 0.2, 0.0], atol=1e-15)
 
     def test_infeasible_pair_rejected(self):
         with pytest.raises(qm.InfeasibleError):
             qm.construct_23([1 / 3, 1 / 3, 1 / 3], [0.5, 0.1, 0.1, 0.1, 0.1, 0.1])
 
-    def test_round_trip_random(self):
+    def test_round_trip_random(self, eig_calls):
         rng = qm.PortableRng(77)
         done = 0
         while done < 100:
@@ -311,12 +349,14 @@ class TestConstruct23:
             mu = random_prob_vector(6, rng)
             if not qm.compat_2x3(lam, mu).holds:
                 continue
-            state = qm.construct_23(lam, mu)
-            assert np.abs(state.rho.eigenvalues - mu).max() <= 1e-8
-            assert np.abs(qm.spectrum(qm.partial_trace_first(state)) - lam).max() <= 1e-10
+            built_23(lam, mu, eig_calls)
             done += 1
 
-    def test_boundary_tight_pairs(self):
+    def test_census_pairs(self, eig_calls):
+        for lam, mu in qm.spectra_pair_census(2, 3, qm.SamplerConfig(seed=23, trials=300)):
+            built_23(lam, mu, eig_calls)
+
+    def test_boundary_tight_pairs(self, eig_calls):
         # pairs with one feasibility inequality exactly tight still construct
         rng = qm.PortableRng(978)
         done = 0
@@ -338,12 +378,20 @@ class TestConstruct23:
             lam = np.sort([lam1, 1 - lam1 - lam3, lam3])[::-1]
             if lam.min() < 0 or not qm.compat_2x3(lam, mu).holds:
                 continue
-            state = qm.construct_23(lam, mu)
-            assert np.abs(state.rho.eigenvalues - mu).max() <= 1e-8
-            assert np.abs(qm.spectrum(qm.partial_trace_first(state)) - lam).max() <= 1e-10
+            built_23(lam, mu, eig_calls)
             done += 1
 
-    def test_degenerate_ties_and_zeros(self):
+    def test_band_edge_pairs(self, eig_calls):
+        # one inequality fails by MAJ_TOL, or the sums of lam and mu differ by
+        # 1.8e-10 (each stays within the domain's MAJ_TOL of 1)
+        census = qm.spectra_pair_census(2, 3, qm.SamplerConfig(seed=12, trials=50))
+        pairs = band_edge_pairs(200, seed=11)
+        pairs += [(lam * (1 + 0.9e-10), mu * (1 - 0.9e-10)) for lam, mu in census]
+        for lam, mu in pairs:
+            assert qm.compat_2x3(lam, mu).holds
+            built_23(lam, mu, eig_calls)
+
+    def test_degenerate_ties_and_zeros(self, eig_calls):
         pairs = [
             ([0.5, 0.5, 0.0], [0.5, 0.5, 0.0, 0.0, 0.0, 0.0]),
             ([0.5, 0.25, 0.25], [0.25, 0.25, 0.25, 0.25, 0.0, 0.0]),
@@ -351,12 +399,8 @@ class TestConstruct23:
             ([0.4, 0.4, 0.2], [0.2, 0.2, 0.2, 0.2, 0.1, 0.1]),
         ]
         for lam, mu in pairs:
-            lam = np.sort(np.asarray(lam, float))[::-1]
-            mu = np.sort(np.asarray(mu, float))[::-1]
             assert qm.compat_2x3(lam, mu).holds
-            state = qm.construct_23(lam, mu)
-            assert np.abs(state.rho.eigenvalues - mu).max() <= 1e-8
-            assert np.abs(qm.spectrum(qm.partial_trace_first(state)) - lam).max() <= 1e-10
+            built_23(lam, mu, eig_calls)
 
 
 class TestNonextreme:

@@ -27,6 +27,26 @@ class TestRandomStateWithMarginal:
             state = qm.random_state_with_marginal(sigma, 2, qm.SamplerConfig(seed=70 + seed))
             assert lo <= state.rank <= hi
 
+    def test_matches_rotated_rank_k_blocks(self, eig_calls):
+        # reference: the same draws, each block construct_rank_k(...)
+        # conjugated by U (x) I_n; only the mixture is validated
+        sigma = qm.random_density(4, 3, seed=17)
+        m, cfg = 3, qm.SamplerConfig(seed=5, mix_components=3)
+        rng = qm.PortableRng(cfg.seed)
+        lo, hi = qm.element_rank_range(sigma.rank, m)
+        weights = rng.uniform(cfg.mix_components)
+        weights = weights / weights.sum()
+        want = np.zeros((m * sigma.dim, m * sigma.dim), dtype=complex)
+        for t in range(cfg.mix_components):
+            k = lo + rng.index(hi - lo + 1)
+            block = qm.construct_rank_k(sigma, m, k).matrix
+            u = np.kron(qm.random_unitary(m, rng), np.eye(sigma.dim))
+            want += weights[t] * (u @ block @ u.conj().T)
+        del eig_calls[:]
+        got = qm.random_state_with_marginal(sigma, m, cfg).matrix
+        assert eig_calls == ["eigh"]
+        assert np.abs(got - want).max() <= 1e-14
+
 
 class TestSearchMinNorm:
     def test_exactly_achievable_approaches_zero(self):
