@@ -4,8 +4,10 @@ Every low-rank construction is a factor ``Z0`` of k columns over
 diag(d), the eigenvalues of the target marginal sigma = V diag(d) V*,
 where it is a sparse exact formula. It is lifted by ``I_m (x) V`` to
 ``Z`` and the state is ``rho = Z Z*``: rank k by construction, with first
-marginal sigma. The spectra-prescribed construction conjugates its
-blocks by ``I_m (x) U`` directly.
+marginal sigma. The state is validated from ``Z`` itself, whose SVD gives
+the spectrum and eigenvectors of rho (see ``linalg.validate_density``).
+The spectra-prescribed construction conjugates its blocks by ``I_m (x) U``
+directly.
 """
 
 from __future__ import annotations
@@ -89,9 +91,8 @@ def _lifted(z0: np.ndarray, sigma: DensityMatrix, m: int) -> np.ndarray:
 
 
 def _lift(z0: np.ndarray, sigma: DensityMatrix, m: int) -> BipartiteState:
-    """The state Z Z* for Z = (I_m (x) V) Z0, where sigma = V diag(d) V*."""
-    z = _lifted(z0, sigma, m)
-    return bipartite(z @ z.conj().T, m, sigma.dim)
+    """The state Z Z* for Z = (I_m (x) V) Z0, where sigma = V diag(d) V*, validated from Z."""
+    return bipartite(None, m, sigma.dim, factor=_lifted(z0, sigma, m))
 
 
 def purify(sigma: DensityMatrix, m: int) -> BipartiteState:

@@ -33,8 +33,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .constructors import MARGINAL_TOL
 from .errors import InvalidCertificateError
-from .linalg import BipartiteState, bipartite, partial_trace_first
+from .linalg import TRACE_TOL, BipartiteState, bipartite, partial_trace_first
 
 INDEP_TOL = 1e-8
 MARGINAL_INDEP_TOL = 1e-6
@@ -141,6 +142,11 @@ def split_nonextreme(
 
     Both halves keep the first marginal. The step size t = 1/max|eig(cert)|
     makes I +- t*cert singular on one side; rho1 takes the singular side.
+    With cert = Q diag(eta) Q*, each half Z (I +- t*cert) Z* is validated
+    from its factor Z Q diag(sqrt(1 +- t*eta)), whose singular side has an
+    exact zero column. A certificate whose step would move the marginal by
+    more than MARGINAL_TOL, or a half's trace by more than TRACE_TOL, is
+    rejected before either half is built.
     """
     cert = np.asarray(certificate, dtype=complex)
     z = _scaled_factors(state)
@@ -152,21 +158,31 @@ def split_nonextreme(
     m, n = state.m, state.n
     # sum_ij H_ij [z_i][z_j]* is the marginal tr_1(z H z*) that H would move;
     # the largest product entry, by Cauchy-Schwarz, sits on some [z_i][z_i]*
-    moved = z @ cert @ z.conj().T
-    residual = float(np.abs(partial_trace_first(moved, m, n)).max())
+    moved = partial_trace_first(z @ cert @ z.conj().T, m, n)
+    residual = float(np.abs(moved).max())
     largest = float((np.abs(z) ** 2).reshape(m, n, r).sum(axis=0).max())
     scale = float(np.abs(cert).max()) * largest + 1e-300
     if residual > CERT_RESIDUAL_TOL * scale:
         raise InvalidCertificateError(
             f"certificate does not annihilate the factor products (residual {residual:.3e})"
         )
-    eta = np.linalg.eigvalsh((cert + cert.conj().T) / 2.0)
+    eta, q = np.linalg.eigh((cert + cert.conj().T) / 2.0)
     extreme_eig = eta[-1] if abs(eta[-1]) >= abs(eta[0]) else eta[0]
-    moved /= abs(extreme_eig)  # the step t = 1/max|eig(cert)|
-    base = z @ z.conj().T
-    plus = base + moved
-    minus = base - moved
-    singular_first = (minus, plus) if extreme_eig > 0 else (plus, minus)
-    rho1 = bipartite(singular_first[0], m, n)
-    rho2 = bipartite(singular_first[1], m, n)
-    return rho1, rho2
+    step = 1.0 / abs(extreme_eig)
+    if residual * step > MARGINAL_TOL:
+        raise InvalidCertificateError(
+            f"certificate step moves the marginal by {residual * step:.3e}, "
+            f"more than {MARGINAL_TOL}"
+        )
+    trace = float(np.vdot(z, z).real)
+    trace_shift = abs(float(np.trace(moved).real)) * step
+    if abs(trace - 1.0) + trace_shift > TRACE_TOL:
+        raise InvalidCertificateError(
+            f"certificate step moves a half's trace by {trace_shift:.3e} from {trace!r}"
+        )
+    zq = z @ q
+    # |eta_i| <= |extreme_eig|, so 1 +- eta_i * step lies in [0, 2] exactly
+    plus = zq * np.sqrt(1.0 + eta * step)
+    minus = zq * np.sqrt(1.0 - eta * step)
+    singular, other = (minus, plus) if extreme_eig > 0 else (plus, minus)
+    return bipartite(None, m, n, factor=singular), bipartite(None, m, n, factor=other)

@@ -9,6 +9,10 @@ Conventions used throughout the package:
   ``j`` holds entries ``j*n .. (j+1)*n``; ``unfold`` is its inverse. Under
   these maps ``tr1(w w*) = W W*`` and ``tr2(w w*) = W^t (W^t)*``.
 * Spectra are real vectors sorted descending.
+* A state built as ``rho = Z Z*`` from a factor of k < m*n columns is
+  validated from the factor: its spectrum and eigenvectors come from the
+  SVD of the (m*n, k) ``Z``, which costs O(mn k^2) instead of the O((mn)^3)
+  eigendecomposition of rho.
 """
 
 from __future__ import annotations
@@ -57,11 +61,14 @@ class DensityMatrix:
     ``eigenvalues`` is the spectrum computed at construction, clipped at 0,
     and ``eigenvectors`` holds the matching unit eigenvectors as columns, so
     ``matrix`` is ``eigenvectors @ diag(eigenvalues) @ eigenvectors*`` up to
-    the clipping. Both are in the order of :func:`hermitian_eig`: descending,
-    with exact ties kept in the solver's order (stable sort). ``rank`` is the
-    numerical rank at the construction tolerance, so the first ``rank``
-    eigenvalues are positive. Construct via :func:`validate_density`;
-    instances are immutable.
+    the clipping. Both are descending. For a matrix they are in the order of
+    :func:`hermitian_eig`, with exact ties kept in the solver's order (stable
+    sort). For a state validated from a thin factor Z (``factor=Z``) they come
+    from the full SVD of Z: the eigenvectors are its left singular vectors,
+    ties keep the SVD's order, and the trailing zeros of the spectrum carry
+    the completing columns of the SVD's unitary. ``rank`` is the numerical
+    rank at the construction tolerance, so the first ``rank`` eigenvalues are
+    positive. Construct via :func:`validate_density`; instances are immutable.
     """
 
     matrix: np.ndarray
@@ -140,21 +147,17 @@ def partial_trace_second(state, m: int | None = None, n: int | None = None) -> n
     return np.einsum("aibi->ab", rho.reshape(m, n, m, n))
 
 
-def _eigh_desc(a: np.ndarray):
-    """eigh of the Hermitian part of a, reordered descending by a stable sort."""
-    w, v = np.linalg.eigh((a + a.conj().T) / 2.0)
-    order = np.argsort(-w, kind="stable")
-    return w[order], v[:, order]
-
-
 def hermitian_eig(a, tol: float = HERMIT_TOL):
     """Descending eigendecomposition (w, V) of a Hermitian matrix, A = V diag(w) V*.
 
-    Ties keep the solver's output order under a stable sort.
+    The eigh is taken of the Hermitian part of A. Ties keep the solver's
+    output order under a stable sort.
     """
     a = np.asarray(a, dtype=complex)
     assert_hermitian(a, tol)
-    return _eigh_desc(a)
+    w, v = np.linalg.eigh((a + a.conj().T) / 2.0)
+    order = np.argsort(-w, kind="stable")
+    return w[order], v[:, order]
 
 
 def spectrum(a) -> np.ndarray:
@@ -163,18 +166,44 @@ def spectrum(a) -> np.ndarray:
 
 
 def validate_density(
-    a,
+    a=None,
     hermit_tol: float = HERMIT_TOL,
     psd_tol: float = PSD_TOL,
     trace_tol: float = TRACE_TOL,
     rank_tol_factor: float = RANK_TOL_FACTOR,
+    *,
+    factor=None,
 ) -> DensityMatrix:
-    """Validate finiteness / Hermiticity / positivity / unit trace and compute the numerical rank."""
-    a = np.asarray(a, dtype=complex)
-    if not np.isfinite(a).all():
-        raise ValidationError("not-finite", "matrix has a non-finite entry")
-    assert_hermitian(a, hermit_tol)
-    w, v = _eigh_desc(a)
+    """Validate finiteness / Hermiticity / positivity / unit trace and compute the numerical rank.
+
+    Pass either the matrix ``a`` or, as ``factor=Z``, a factor of ``a = Z Z*``.
+    A factor of k < d columns on C^d gives the spectrum and eigenvectors from
+    one full SVD of the d x k factor, not an eigendecomposition of the d x d
+    matrix: the squared singular values padded with d - k zeros, and the full
+    left singular basis. A wider factor takes the matrix path on Z Z*.
+    """
+    if (a is None) == (factor is None):
+        raise TypeError("pass exactly one of a matrix and factor=")
+    if factor is None:
+        a = np.asarray(a, dtype=complex)
+        if not np.isfinite(a).all():
+            raise ValidationError("not-finite", "matrix has a non-finite entry")
+        w, v = hermitian_eig(a, hermit_tol)
+    else:
+        z = np.asarray(factor, dtype=complex)
+        if z.ndim != 2:
+            raise DimensionError(f"expected a factor matrix, got ndim {z.ndim}")
+        if not np.isfinite(z).all():
+            raise ValidationError("not-finite", "factor has a non-finite entry")
+        a = z @ z.conj().T
+        d, k = z.shape
+        if k >= d:
+            w, v = hermitian_eig(a, hermit_tol)
+        else:
+            assert_hermitian(a, hermit_tol)
+            v, s, _ = np.linalg.svd(z, full_matrices=True)
+            w = np.zeros(d)
+            w[:k] = s * s
     wmax = float(w[0])
     wmin = float(w[-1])
     if wmin < -psd_tol * max(1.0, abs(wmax)):
@@ -194,7 +223,7 @@ def validate_density(
 
 
 def bipartite(a, m: int, n: int, **tol_overrides) -> BipartiteState:
-    """Validate a raw matrix and attach bipartite factor dims."""
+    """Validate a raw matrix (or, with ``factor=Z``, the state Z Z*) and attach factor dims."""
     return BipartiteState(m=m, n=n, rho=validate_density(a, **tol_overrides))
 
 

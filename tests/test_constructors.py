@@ -96,6 +96,17 @@ class TestConstructRankK:
         assert np.abs(qm.partial_trace_first(conjugated, m, 4) - rotated.matrix).max() <= 1e-10
 
 
+    def test_validated_from_the_factor(self, eig_calls):
+        # a rank-16 state on C^64 is validated from its 64 x 16 factor:
+        # no eigendecomposition of the 64 x 64 matrix
+        sigma = qm.random_density(32, 32, seed=34)
+        del eig_calls[:]
+        state = qm.construct_rank_k(sigma, 2, 16)
+        assert eig_calls == []
+        assert state.rank == 16
+        assert marginal_error(state, sigma.matrix) <= 1e-10
+
+
 class TestOptimalLowRank:
     def test_worked_example(self):
         sigma = qm.validate_density(np.diag([0.4, 0.3, 0.2, 0.1]))

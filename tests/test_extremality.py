@@ -6,10 +6,11 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import qmarginal as qm
+from qmarginal.constructors import MARGINAL_TOL
 from qmarginal.extremality import CERT_RESIDUAL_TOL, _scaled_factors
-from qmarginal.linalg import fold
+from qmarginal.linalg import TRACE_TOL, fold
 
-from helpers import haar_unitary, sigma_corpus
+from helpers import haar_unitary, random_hermitian, sigma_corpus
 
 
 def small_corpus():
@@ -112,16 +113,29 @@ class TestSplitNonextreme:
         assert np.abs((rho1.matrix + rho2.matrix) / 2 - state.matrix).max() <= 1e-10
 
     def test_split_soundness_over_corpus(self):
-        for state, sigma in small_corpus():
+        wide = qm.nonextreme_of_rank_k(qm.random_density(32, 32, seed=5), 2, 17)
+        for state, sigma in small_corpus() + [(wide, None)]:
             rep = qm.is_extreme(state)
             if rep.is_extreme:
                 continue
             rho1, rho2 = qm.split_nonextreme(state, rep.certificate)
             assert rho1.rank < state.rank
-            assert np.abs((rho1.matrix + rho2.matrix) / 2 - state.matrix).max() <= 1e-10
+            assert np.abs((rho1.matrix + rho2.matrix) / 2 - state.matrix).max() <= 1e-12
             target = qm.partial_trace_first(state)
             for part in (rho1, rho2):
                 assert np.abs(qm.partial_trace_first(part) - target).max() <= 1e-10
+
+    @pytest.mark.parametrize("eps", [1e-9, 1e-8])
+    def test_marginal_moving_certificate_rejected(self, eps):
+        # the perturbed certificate passes the relative residual check, but
+        # its step would move the halves' marginal by about 3.6e-10 (1e-9)
+        # or their trace by about 7e-9 (1e-8)
+        state = qm.nonextreme_of_rank_k(qm.random_density(4, 4, seed=70), 2, 3)
+        cert = qm.is_extreme(state).certificate
+        h = random_hermitian(3, qm.PortableRng(76))
+        h /= np.abs(h).max()
+        with pytest.raises(qm.InvalidCertificateError, match="moves"):
+            qm.split_nonextreme(state, cert + eps * h)
 
     def test_invalid_certificate_rejected(self):
         state = qm.bipartite(np.eye(6) / 6, 2, 3)
@@ -313,8 +327,10 @@ def test_spread_spectra_verdict_and_split(member):
 
 
 def test_certificate_check_matches_product_stack():
-    # split_nonextreme accepts a certificate exactly when the reference
-    # |H . rows| <= tol max|H| max|rows| over the stacked products does
+    # split_nonextreme accepts a certificate exactly when, over the stacked
+    # products, the reference |H . rows| <= tol max|H| max|rows| holds and the
+    # step 1/max|eig(H)| moves the marginal by at most MARGINAL_TOL and a
+    # half's trace by at most TRACE_TOL; an accepted split validates
     states = [
         qm.bipartite(np.eye(6) / 6, 2, 3),
         qm.nonextreme_of_rank_k(qm.random_density(4, 4, seed=70), 2, 3),
@@ -326,22 +342,31 @@ def test_certificate_check_matches_product_stack():
     for state in states:
         z = _scaled_factors(state)
         r = z.shape[1]
-        rows = stacked_products_loop(z, state.m, state.n)
+        n = state.n
+        rows = stacked_products_loop(z, state.m, n)
+        trace_gap = abs(np.vdot(z, z).real - 1.0)
+        target = qm.partial_trace_first(state)
         base = qm.is_extreme(state).certificate
         for eps in np.logspace(-12, 0, 25):
             g = rng.complex_normal((r, r))
             h = base + eps * (g + g.conj().T)
-            residual = np.abs(h.reshape(-1) @ rows).max()
-            accept = residual <= CERT_RESIDUAL_TOL * np.abs(h).max() * np.abs(rows).max()
+            shift = (h.reshape(-1) @ rows).reshape(n, n)
+            step = 1.0 / np.abs(np.linalg.eigvalsh(h)).max()
+            accept = (
+                np.abs(shift).max() <= CERT_RESIDUAL_TOL * np.abs(h).max() * np.abs(rows).max()
+                and np.abs(shift).max() * step <= MARGINAL_TOL
+                and trace_gap + abs(np.trace(shift).real) * step <= TRACE_TOL
+            )
             seen.add(bool(accept))
             try:
-                qm.split_nonextreme(state, h)
+                halves = qm.split_nonextreme(state, h)
                 rejected = False
             except qm.InvalidCertificateError:
                 rejected = True
-            except qm.ValidationError:
-                rejected = False  # passed the check; the halves' trace drifted
             assert rejected != accept, (state.m, state.n, r, eps)
+            if not rejected:
+                for part in halves:
+                    assert np.abs(qm.partial_trace_first(part) - target).max() <= 1e-10
     assert seen == {True, False}
 
 

@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose
 
 import qmarginal as qm
 from qmarginal import linalg
+from qmarginal.constructors import _factor, _lifted
 
 from helpers import haar_unitary, random_hermitian
 
@@ -213,6 +214,72 @@ class TestValidateDensity:
         assert_allclose(
             dm.eigenvectors @ np.diag(dm.eigenvalues) @ dm.eigenvectors.conj().T, a, atol=1e-12
         )
+
+
+def lifted_factors():
+    """(m, n, k, Z) for the rank-k factors of the constructions, Z Z* of unit trace.
+
+    Every feasible k over m <= 4, n <= 8 (full-rank and rank-deficient
+    sigma), plus (2, 32) and (4, 24).
+    """
+    dims = [(m, n) for m in range(1, 5) for n in range(1, 9)] + [(2, 32), (4, 24)]
+    seed = 900
+    for m, n in dims:
+        for r in sorted({n, max(1, n - 2)}):
+            seed += 1
+            sigma = qm.random_density(n, r, seed=seed)
+            lo, hi = qm.element_rank_range(r, m)
+            for k in range(lo, hi + 1):
+                yield m, n, k, _lifted(_factor(sigma.eigenvalues[:r], n, m, k), sigma, m)
+
+
+class TestFactorPath:
+    def test_matches_matrix_path_over_corpus(self):
+        seen_thin = seen_square = False
+        for m, n, k, z in lifted_factors():
+            d = m * n
+            seen_thin |= k < d
+            seen_square |= k >= d
+            fac = qm.validate_density(factor=z)
+            ref = qm.validate_density(z @ z.conj().T)
+            where = (m, n, k)
+            assert fac.matrix.tobytes() == ref.matrix.tobytes(), where
+            assert fac.rank == ref.rank == k, where
+            assert fac.eigenvalues.shape == (d,), where
+            assert np.abs(fac.eigenvalues - ref.eigenvalues).max() <= 1e-14, where
+            v = fac.eigenvectors
+            assert v.shape == (d, d), where
+            assert np.abs(v.conj().T @ v - np.eye(d)).max() <= 1e-13, where
+            assert np.abs(v @ v.conj().T - np.eye(d)).max() <= 1e-13, where
+            rebuilt = (v * fac.eigenvalues) @ v.conj().T
+            assert np.abs(rebuilt - fac.matrix).max() <= 1e-13, where
+        assert seen_thin and seen_square
+
+    def test_square_factor_takes_the_matrix_path(self, eig_calls):
+        z = qm.PortableRng(32).complex_normal((6, 6))
+        z /= np.linalg.norm(z)
+        dm = qm.validate_density(factor=z)
+        assert eig_calls == ["eigh"]
+        ref = qm.validate_density(z @ z.conj().T)
+        assert dm.eigenvectors.tobytes() == ref.eigenvectors.tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+    def test_not_finite_factor(self, bad):
+        z = np.full((4, 2), 0.5, dtype=complex)
+        z[1, 0] = bad
+        with pytest.raises(qm.ValidationError) as err:
+            qm.validate_density(factor=z)
+        assert err.value.reason == "not-finite"
+
+    def test_exactly_one_input(self):
+        with pytest.raises(TypeError):
+            qm.validate_density()
+        with pytest.raises(TypeError):
+            qm.validate_density(np.eye(2) / 2, factor=np.eye(2) / np.sqrt(2))
+
+    def test_factor_must_be_a_matrix(self):
+        with pytest.raises(qm.DimensionError):
+            qm.validate_density(factor=np.ones(4) / 2)
 
 
 def test_bipartite_factor_dims_must_be_positive():
