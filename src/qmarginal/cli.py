@@ -61,10 +61,11 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _parse_p(text: str) -> float:
-    if text.strip().lower() in ("inf", "infinity"):
-        return float("inf")
-    return float(text)
+def _tolerance(text: str) -> float:
+    value = float(text)
+    if not (np.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
+    return value
 
 
 def _norm_key(p: float) -> str:
@@ -80,23 +81,24 @@ def build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", metavar="PATH",
                         help="also write the result document to this file")
+    dims = argparse.ArgumentParser(add_help=False)
+    dims.add_argument("--m", type=int)
+    dims.add_argument("--n", type=int)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def add_parser(name, **kwargs):
-        return sub.add_parser(name, parents=[common], **kwargs)
+    def add_parser(name, *parents, **kwargs):
+        return sub.add_parser(name, parents=[common, *parents], **kwargs)
 
     p = add_parser("validate", help="check a matrix file is a density matrix")
     p.add_argument("matrix")
-    p.add_argument("--hermit-tol", type=float, default=HERMIT_TOL)
-    p.add_argument("--psd-tol", type=float, default=PSD_TOL)
-    p.add_argument("--trace-tol", type=float, default=TRACE_TOL)
-    p.add_argument("--rank-tol-factor", type=float, default=RANK_TOL_FACTOR)
+    p.add_argument("--hermit-tol", type=_tolerance, default=HERMIT_TOL)
+    p.add_argument("--psd-tol", type=_tolerance, default=PSD_TOL)
+    p.add_argument("--trace-tol", type=_tolerance, default=TRACE_TOL)
+    p.add_argument("--rank-tol-factor", type=_tolerance, default=RANK_TOL_FACTOR)
 
-    p = add_parser("ptrace", help="partial trace of a bipartite state file")
+    p = add_parser("ptrace", dims, help="partial trace of a bipartite state file")
     p.add_argument("state")
     p.add_argument("--side", choices=["first", "second"], required=True)
-    p.add_argument("--m", type=int)
-    p.add_argument("--n", type=int)
 
     p = add_parser("purify", help="rank-one state with the given first marginal")
     p.add_argument("sigma")
@@ -115,17 +117,13 @@ def build_parser() -> _Parser:
     p.add_argument("--emit-curve", metavar="PATH",
                    help="also write a (k, min-norm) table up to the exact rank")
 
-    p = add_parser("extreme", help="extremality report for a bipartite state")
+    p = add_parser("extreme", dims, help="extremality report for a bipartite state")
     p.add_argument("state")
-    p.add_argument("--m", type=int)
-    p.add_argument("--n", type=int)
     p.add_argument("--cert-out", metavar="PATH",
                    help="write the dependency certificate when not extreme")
 
-    p = add_parser("split", help="split a non-extreme state with a rank drop")
+    p = add_parser("split", dims, help="split a non-extreme state with a rank drop")
     p.add_argument("state")
-    p.add_argument("--m", type=int)
-    p.add_argument("--n", type=int)
 
     p = add_parser("feasible", help="attainable ranks for a marginal of rank r")
     p.add_argument("--r", type=int, required=True)
@@ -203,7 +201,7 @@ def _cmd_construct(args):
 
 def _cmd_approx(args):
     sigma = fileio.load_density(args.sigma)
-    norms = [_parse_p(tok) for tok in args.norms.split(",") if tok.strip()]
+    norms = [float(tok) for tok in args.norms.split(",") if tok.strip()]
     res = optimal_low_rank(sigma, args.m, args.k, norms=norms)
     doc = {
         "rho": fileio.state_to_doc(res.rho),
@@ -219,9 +217,7 @@ def _cmd_approx(args):
 
 
 def _write_curve(path, sigma, m, norms):
-    import math
-
-    k_exact = math.ceil(sigma.rank / m)
+    k_exact = element_rank_range(sigma.rank, m).k_min
     with open(path, "w") as fh:
         fh.write("k\t" + "\t".join(f"norm_{_norm_key(p)}" for p in norms) + "\n")
         for k in range(1, k_exact + 1):
@@ -273,12 +269,7 @@ def _check_doc(check):
 def _cmd_compat(args):
     lam = fileio.doc_to_spectrum(fileio.load_doc(args.lam))
     mu = fileio.doc_to_spectrum(fileio.load_doc(args.mu))
-    n, mn = lam.size, mu.size
-    if mn % n:
-        raise DimensionError(f"joint length {mn} is not a multiple of marginal length {n}")
-    m = args.m if args.m is not None else mn // n
-    if m * n != mn:
-        raise DimensionError(f"--m {m} inconsistent with spectra lengths ({n}, {mn})")
+    m, n = fileio.factor_dims(mu.size, args.m, lam.size)
     if (m, n) == (2, 2):
         lam_s = np.sort(lam)[::-1]
         mu_s = np.sort(mu)[::-1]
@@ -369,39 +360,40 @@ def _emit_error(kind: str, message: str, **extra) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        _emit_error("usage", str(exc))
-        return 2
-    try:
+        args = build_parser().parse_args(argv)
         doc, code = _HANDLERS[args.command](args)
         text = fileio.dumps(doc)
-        if getattr(args, "out", None):
+        if args.out:
             with open(args.out, "w") as fh:
                 fh.write(text + "\n")
+        print(text, flush=True)
     except ValidationError as exc:
         _emit_error("validation", str(exc), reason=exc.reason)
         return 3
     except (InfeasibleError, PreconditionError, UnsupportedRegimeError) as exc:
         _emit_error("infeasible", str(exc))
         return 1
-    except (DimensionError, DomainError, InvalidCertificateError) as exc:
+    except (_UsageError, DimensionError, DomainError, InvalidCertificateError) as exc:
         _emit_error("usage", str(exc))
         return 2
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError, MemoryError) as exc:
+    except (OSError, OverflowError, json.JSONDecodeError, KeyError, TypeError, ValueError,
+            MemoryError) as exc:
         _emit_error("usage", f"{type(exc).__name__}: {exc}")
         return 2
     except InternalInvariantError as exc:
         _emit_error("internal-invariant", str(exc))
         return 3
-    print(text)
     return code
 
 
 def main_entry() -> None:
-    sys.exit(main())
+    code = main()
+    if sys.stdout is not None:
+        # main flushed its output; anything still buffered was refused by a reader
+        # that closed stdout early, and must not fail again at interpreter exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

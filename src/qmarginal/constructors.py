@@ -24,7 +24,7 @@ from .errors import (
     PreconditionError,
     UnsupportedRegimeError,
 )
-from .feasibility import _positive, _sorted_desc, compat_2x3, element_rank_range
+from .feasibility import _positive, _sorted_desc, compat_2x3, element_rank_range, extreme_rank_range
 from .linalg import BipartiteState, DensityMatrix, bipartite, partial_trace_first
 from .majorization import MAJ_TOL, lp_norm, majorizes
 
@@ -136,7 +136,7 @@ def optimal_low_rank(
     r = sigma.rank
     exact = m * k >= r
     if exact:
-        state = construct_rank_k(sigma, m, math.ceil(r / m))
+        state = construct_rank_k(sigma, m, element_rank_range(r, m).k_min)
         mu_shift = 0.0
     else:
         lam = sigma.eigenvalues[:r]
@@ -407,11 +407,11 @@ def nonextreme_of_rank_k(sigma: DensityMatrix, m: int, k: int) -> BipartiteState
     _positive("m", m)
     _positive("k", k)
     r = sigma.rank
-    lo = math.ceil(r / m)
-    if not lo < k <= r:
+    lo, hi = extreme_rank_range(r, m)
+    if not lo < k <= hi:
         raise InfeasibleError(
             f"non-extreme members of rank {k} need ceil(r/m) < k <= r, "
-            f"i.e. {lo} < k <= {r}"
+            f"i.e. {lo} < k <= {hi}"
         )
     z0 = _factor(sigma.eigenvalues[:r], sigma.dim, m, k - 1)
     z1 = z0[:, :1] / np.sqrt(2.0)

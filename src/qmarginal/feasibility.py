@@ -13,7 +13,6 @@ MAJ_TOL of 1); anything else raises DomainError.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -59,14 +58,14 @@ def element_rank_range(r: int, m: int) -> RankRange:
     """Attainable ranks of states on an (m, n) system whose marginal has rank r."""
     _positive("r", r)
     _positive("m", m)
-    return RankRange(math.ceil(r / m), r * m)
+    return RankRange(-(-r // m), r * m)
 
 
 def extreme_rank_range(r: int, m: int) -> RankRange:
     """Attainable ranks of the extreme points among those states."""
     _positive("r", r)
     _positive("m", m)
-    return RankRange(math.ceil(r / m), r)
+    return RankRange(-(-r // m), r)
 
 
 def exact_low_rank_exists(r: int, m: int, k: int) -> bool:

@@ -62,8 +62,18 @@ def state_to_doc(state: BipartiteState) -> dict:
     return matrix_to_doc(state.matrix, m=state.m, n=state.n)
 
 
+def _count(doc: dict, key: str) -> int:
+    """The non-negative integer field ``key``; a float is accepted only if integral."""
+    value = doc[key]
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if type(value) is not int or value < 0:
+        raise DimensionError(f"{key} must be a non-negative integer, got {value!r}")
+    return value
+
+
 def doc_to_matrix(doc: dict) -> np.ndarray:
-    rows, cols = int(doc["rows"]), int(doc["cols"])
+    rows, cols = _count(doc, "rows"), _count(doc, "cols")
     entries = doc["entries"]
     if len(entries) != rows * cols:
         raise DimensionError(
@@ -71,12 +81,6 @@ def doc_to_matrix(doc: dict) -> np.ndarray:
         )
     flat = np.array([complex(float(re), float(im)) for re, im in entries])
     return flat.reshape(rows, cols)
-
-
-def doc_dims(doc: dict) -> tuple[int | None, int | None]:
-    m = int(doc["m"]) if "m" in doc else None
-    n = int(doc["n"]) if "n" in doc else None
-    return m, n
 
 
 def spectrum_to_doc(values) -> dict:
@@ -104,25 +108,28 @@ def save_doc(path: str, doc: dict) -> None:
 def load_matrix(path: str) -> tuple[np.ndarray, int | None, int | None]:
     doc = load_doc(path)
     mat = doc_to_matrix(doc)
-    m, n = doc_dims(doc)
+    m = _count(doc, "m") if "m" in doc else None
+    n = _count(doc, "n") if "n" in doc else None
     return mat, m, n
+
+
+def factor_dims(total: int, m: int | None, n: int | None) -> tuple[int, int]:
+    """Factor dims (m, n) of a system of dimension ``total``; a missing one is derived."""
+    if m is None and n is None:
+        raise DimensionError("bipartite input needs factor dims (m, n) in file or flags")
+    if m is None or n is None:
+        name, given = ("m", m) if n is None else ("n", n)
+        if given < 1 or total % given:
+            raise DimensionError(f"{name} = {given} does not divide the matrix dimension {total}")
+        return (given, total // given) if n is None else (total // given, given)
+    if m < 1 or n < 1 or m * n != total:
+        raise DimensionError(f"factor dims m={m}, n={n} do not factor the matrix dimension {total}")
+    return m, n
 
 
 def load_state(path: str, m: int | None = None, n: int | None = None) -> BipartiteState:
     mat, file_m, file_n = load_matrix(path)
-    m = m if m is not None else file_m
-    n = n if n is not None else file_n
-    if (m is None) != (n is None):
-        dim = mat.shape[0]
-        name, given = ("m", m) if n is None else ("n", n)
-        if given < 1 or dim % given:
-            raise DimensionError(f"{name} = {given} does not divide the matrix dimension {dim}")
-        if m is None:
-            m = dim // n
-        else:
-            n = dim // m
-    if m is None or n is None:
-        raise DimensionError("bipartite input needs factor dims (m, n) in file or flags")
+    m, n = factor_dims(mat.shape[0], file_m if m is None else m, file_n if n is None else n)
     return bipartite(mat, m, n)
 
 

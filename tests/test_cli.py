@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +10,8 @@ import pytest
 import qmarginal as qm
 from qmarginal import fileio
 from qmarginal.cli import main
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run_cli(capsys, *argv):
@@ -332,18 +338,30 @@ def test_unknown_flag(capsys):
 
 
 def test_malformed_inputs_are_usage_errors(tmp_path, capsys):
+    half = '"entries": [[0.5, 0], [0, 0], [0, 0], [0.5, 0]]'
+    # (document, text the error message must contain)
     cases = [
-        '{"rows": 2, "cols": 2, "entries": [["a", "b"], [0, 0], [0, 0], [1, 0]]}',
-        '[1, 2, 3]',
-        '{"rows": 2, "cols": 2}',
-        'not json at all',
+        ('{"rows": 2, "cols": 2, "entries": [["a", "b"], [0, 0], [0, 0], [1, 0]]}', ""),
+        ('[1, 2, 3]', ""),
+        ('{"rows": 2, "cols": 2}', ""),
+        ('not json at all', ""),
+        ('{"rows": 1e400, "cols": 2, %s}' % half, "rows"),
+        ('{"rows": 2.5, "cols": 2, %s}' % half, "rows"),
+        ('{"rows": "2", "cols": 2, %s}' % half, "rows"),
+        ('{"rows": -1, "cols": -1, "entries": [[1, 0]]}', "rows"),
+        ('{"rows": 2, "cols": 2, "m": 1e400, %s}' % half, "m must"),
+        ('{"rows": 2, "cols": 2, "m": 2.7, %s}' % half, "m must"),
+        ('{"rows": 1, "cols": 1, "entries": [[%s, 0]]}' % ("9" * 400), "OverflowError"),
     ]
-    for i, text in enumerate(cases):
+    for i, (text, needle) in enumerate(cases):
         path = tmp_path / f"bad{i}.json"
         path.write_text(text)
-        code, _, err = run_cli(capsys, "validate", str(path))
-        assert code == 2, text
-        assert err["error"]["type"] == "usage"
+        for command in ("validate", "extreme"):
+            code, out, err = run_cli(capsys, command, str(path))
+            assert code == 2, (command, text)
+            assert out is None
+            assert err["error"]["type"] == "usage"
+            assert needle in err["error"]["message"], (command, text)
 
 
 @pytest.mark.parametrize("command", ["compat", "spectra-construct"])
@@ -392,8 +410,14 @@ def test_validate_reports_unclipped_min_eigenvalue(tmp_path, capsys):
     ["spectra-construct", "LAM", "MU", "--m", "0"],
     ["sample", "SIGMA", "--m", "2", "--mix", "0"],
     ["sample", "SIGMA", "--m", "2", "--trials", "0"],
+    ["validate", "SIGMA", "--rank-tol-factor", "nan"],
+    ["validate", "SIGMA", "--trace-tol", "nan"],
+    ["validate", "SIGMA", "--psd-tol", "-1"],
+    ["validate", "SIGMA", "--hermit-tol", "inf"],
+    ["compat", "LAM", "MU", "--m", "2"],
 ], ids=["approx-nan-norm", "out-missing-dir", "purify-m0", "construct-k0",
-        "spectra-construct-m0", "sample-mix0", "sample-trials0"])
+        "spectra-construct-m0", "sample-mix0", "sample-trials0", "rank-tol-factor-nan",
+        "trace-tol-nan", "psd-tol-negative", "hermit-tol-inf", "compat-m-mismatch"])
 def test_bad_arguments_are_usage_errors(tmp_path, capsys, argv):
     paths = {
         "SIGMA": write(tmp_path, "sig.json", fileio.matrix_to_doc(np.diag([0.4, 0.3, 0.2, 0.1]))),
@@ -405,3 +429,20 @@ def test_bad_arguments_are_usage_errors(tmp_path, capsys, argv):
     assert code == 2
     assert out is None
     assert err["error"]["type"] == "usage"
+    flag = next((a for a in argv if "-tol" in a), None)
+    assert flag is None or flag in err["error"]["message"]
+
+
+def test_closed_stdout_prints_no_traceback(tmp_path):
+    sigma = qm.random_density(16, 16, seed=3)
+    path = write(tmp_path, "sig16.json", fileio.matrix_to_doc(sigma.matrix))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    with subprocess.Popen(
+        [sys.executable, "-m", "qmarginal.cli", "approx", path, "--m", "4", "--k", "2"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    ) as proc:
+        proc.stdout.close()  # the reader leaves before the child writes its document
+        err = proc.stderr.read().decode()
+        code = proc.wait(timeout=120)
+    assert "Traceback" not in err and "Exception ignored" not in err, err
+    assert 0 <= code <= 3

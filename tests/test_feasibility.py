@@ -31,6 +31,11 @@ class TestRankRanges:
             for m in range(1, 7):
                 assert qm.element_rank_range(r, m).k_min == qm.extreme_rank_range(r, m).k_min
 
+    def test_huge_rank_ceiling_is_exact(self):
+        # a float division loses the low digits of r / m above 2**53
+        assert qm.element_rank_range(10**23 + 1, 2).k_min == 5 * 10**22 + 1
+        assert qm.extreme_rank_range(10**23 + 1, 2) == (5 * 10**22 + 1, 10**23 + 1)
+
     def test_invalid_inputs(self):
         with pytest.raises(qm.DimensionError):
             qm.element_rank_range(0, 2)

@@ -84,3 +84,28 @@ def test_state_dims_must_divide(tmp_path, dims):
     fileio.save_doc(str(path), fileio.matrix_to_doc(np.eye(6) / 6))
     with pytest.raises(qm.DimensionError, match=r"= (4|0) does not divide the matrix dimension 6"):
         fileio.load_state(str(path), **dims)
+
+
+def test_integral_float_dims_accepted():
+    doc = fileio.matrix_to_doc(np.eye(2) / 2)
+    doc["rows"], doc["cols"] = 2.0, 2.0
+    assert fileio.doc_to_matrix(doc).shape == (2, 2)
+
+
+@pytest.mark.parametrize("value", [-1, 2.5, float("inf"), float("nan"), True, "2", None])
+def test_malformed_dims_name_the_field(value):
+    doc = fileio.matrix_to_doc(np.eye(2) / 2)
+    doc["rows"] = value
+    with pytest.raises(qm.DimensionError, match="rows must be a non-negative integer"):
+        fileio.doc_to_matrix(doc)
+
+
+@pytest.mark.parametrize("m, n, want", [(2, None, (2, 3)), (None, 3, (2, 3)), (2, 3, (2, 3))])
+def test_factor_dims_derives_or_checks(m, n, want):
+    assert fileio.factor_dims(6, m, n) == want
+
+
+@pytest.mark.parametrize("m, n", [(None, None), (4, None), (None, 0), (2, 2), (-2, -3), (-1, -6)])
+def test_factor_dims_rejects(m, n):
+    with pytest.raises(qm.DimensionError):
+        fileio.factor_dims(6, m, n)
