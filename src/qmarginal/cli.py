@@ -262,39 +262,21 @@ def _cmd_feasible(args):
     return doc, code
 
 
-def _check_doc(check):
-    return {"name": check.name, "passed": check.passed, "slack": check.slack}
-
-
 def _cmd_compat(args):
     lam = fileio.doc_to_spectrum(fileio.load_doc(args.lam))
     mu = fileio.doc_to_spectrum(fileio.load_doc(args.mu))
     m, n = fileio.factor_dims(mu.size, args.m, lam.size)
     if (m, n) == (2, 2):
-        lam_s = np.sort(lam)[::-1]
-        mu_s = np.sort(mu)[::-1]
-        holds = compat_2x2(lam, mu)
-        doc = {
-            "mode": "2x2",
-            "holds": holds,
-            "checks": [{
-                "name": "mu1+mu2 >= lambda1",
-                "passed": holds,
-                "slack": float(mu_s[0] + mu_s[1] - lam_s[0]),
-            }],
-        }
+        mode, rep = "2x2", compat_2x2(lam, mu)
     elif (m, n) == (2, 3):
-        rep = compat_2x3(lam, mu)
-        doc = {"mode": "2x3", "holds": rep.holds, "checks": [_check_doc(c) for c in rep.checks]}
+        mode, rep = "2x3", compat_2x3(lam, mu)
     else:
-        rep = necessary_spectra_compat(lam, mu, m)
-        doc = {
-            "mode": "necessary",
-            "holds": rep.holds,
-            "checks": [_check_doc(c) for c in rep.checks],
-            "note": "necessary conditions only for m < n",
-        }
-    return doc, 0 if doc["holds"] else 1
+        mode, rep = "necessary", necessary_spectra_compat(lam, mu, m)
+    checks = [{"name": c.name, "passed": c.passed, "slack": c.slack} for c in rep.checks]
+    doc = {"mode": mode, "holds": rep.holds, "checks": checks}
+    if mode == "necessary":
+        doc["note"] = "necessary conditions only for m < n"
+    return doc, 0 if rep.holds else 1
 
 
 def _cmd_spectra_construct(args):

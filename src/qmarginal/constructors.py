@@ -18,13 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    DimensionError,
     InfeasibleError,
     InternalInvariantError,
     PreconditionError,
     UnsupportedRegimeError,
 )
-from .feasibility import _positive, _sorted_desc, compat_2x3, element_rank_range, extreme_rank_range
+from .feasibility import (_positive, _sorted_desc, compat_2x3, element_rank_range,
+                          exact_low_rank_exists, extreme_rank_range)
 from .linalg import BipartiteState, DensityMatrix, bipartite, partial_trace_first
 from .majorization import MAJ_TOL, lp_norm, majorizes
 
@@ -131,10 +131,8 @@ def optimal_low_rank(
     Exact when m*k >= rank(sigma); otherwise the top m*k eigenvalues of
     sigma are kept, each raised by mu_shift so the trace stays one.
     """
-    _positive("m", m)
-    _positive("k", k)
     r = sigma.rank
-    exact = m * k >= r
+    exact = exact_low_rank_exists(r, m, k)
     if exact:
         state = construct_rank_k(sigma, m, element_rank_range(r, m).k_min)
         mu_shift = 0.0
@@ -168,7 +166,7 @@ def constant_diagonal_conjugate(d) -> np.ndarray:
     return f.conj().T @ np.diag(d).astype(complex) @ f
 
 
-def horn_unitary(w, d, tol: float = MAJ_TOL) -> np.ndarray:
+def horn_unitary(w, d) -> np.ndarray:
     """Unitary U with diag(U* diag(w) U) = d, for d majorized by w.
 
     Classical inductive construction: take the targets largest first, find
@@ -179,9 +177,7 @@ def horn_unitary(w, d, tol: float = MAJ_TOL) -> np.ndarray:
     """
     w = np.asarray(w, dtype=float).reshape(-1)
     d = np.asarray(d, dtype=float).reshape(-1)
-    if w.size != d.size:
-        raise DimensionError(f"length mismatch {w.size} != {d.size}")
-    if not majorizes(d, w, tol=tol).holds:
+    if not majorizes(d, w).holds:  # DimensionError unless the lengths agree
         raise PreconditionError("targets are not majorized by the spectrum")
     nn = w.size
     u = np.eye(nn)
@@ -196,7 +192,7 @@ def horn_unitary(w, d, tol: float = MAJ_TOL) -> np.ndarray:
         act = sorted(active, key=lambda c: -vals[c])
         pick = len(act) - 2
         for a in range(len(act) - 1):
-            if vals[act[a]] + tol >= target >= vals[act[a + 1]] - tol:
+            if vals[act[a]] + MAJ_TOL >= target >= vals[act[a + 1]] - MAJ_TOL:
                 pick = a
                 break
         p, q = act[pick], act[pick + 1]
@@ -239,12 +235,7 @@ def construct_with_spectra(lam, mu, m: int) -> BipartiteState:
         )
     mu = _sorted_desc(mu, "mu", length=m * n)
     blocks = mu.reshape(n, m)
-    w = blocks.sum(axis=1)
-    if not majorizes(lam, w).holds:
-        raise PreconditionError(
-            "marginal spectrum is not majorized by the mu block sums"
-        )
-    u = horn_unitary(w, lam)
+    u = horn_unitary(blocks.sum(axis=1), lam)  # PreconditionError unless majorized
     # (I (x) U)* (A_k (x) e_k e_k*) (I (x) U) = A_k (x) u_k u_k*, u_k* the k-th row of U
     a = np.zeros((m * n, m * n), dtype=complex)
     for kk in range(n):
@@ -286,10 +277,8 @@ def construct_23(lam, mu) -> BipartiteState:
     exact feasible set (see ``_feasible_mu``), a shift of a few MAJ_TOL
     that the spectrum tolerance absorbs.
     """
-    lam = np.sort(np.asarray(lam, dtype=float).reshape(-1))[::-1]
-    mu = np.sort(np.asarray(mu, dtype=float).reshape(-1))[::-1]
-    if lam.size != 3 or mu.size != 6:
-        raise DimensionError("construct_23 needs spectra of lengths 3 and 6")
+    lam = _sorted_desc(lam, "lambda", length=3)
+    mu = _sorted_desc(mu, "mu", length=6)
     report = compat_2x3(lam, mu)
     if not report.holds:
         failed = [c.name for c in report.checks if not c.passed]

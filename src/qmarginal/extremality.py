@@ -142,11 +142,13 @@ def split_nonextreme(
 
     Both halves keep the first marginal. The step size t = 1/max|eig(cert)|
     makes I +- t*cert singular on one side; rho1 takes the singular side.
-    With cert = Q diag(eta) Q*, each half Z (I +- t*cert) Z* is validated
-    from its factor Z Q diag(sqrt(1 +- t*eta)), whose singular side has an
-    exact zero column. A certificate whose step would move the marginal by
-    more than MARGINAL_TOL, or a half's trace by more than TRACE_TOL, is
-    rejected before either half is built.
+    With cert = Q diag(eta) Q*, each half Z (I +- t*cert) Z* + T T* is
+    validated from its factor [Z Q diag(sqrt(1 +- t*eta)), T], whose singular
+    side has an exact zero column; T = V sqrt(lambda) over the positive
+    eigenvalues under the rank cutoff, so the halves average to the state. A
+    certificate whose step would move the marginal by more than MARGINAL_TOL,
+    or a half's trace by more than TRACE_TOL, is rejected before either half
+    is built.
     """
     cert = np.asarray(certificate, dtype=complex)
     z = _scaled_factors(state)
@@ -174,7 +176,10 @@ def split_nonextreme(
             f"certificate step moves the marginal by {residual * step:.3e}, "
             f"more than {MARGINAL_TOL}"
         )
-    trace = float(np.vdot(z, z).real)
+    rho = state.rho
+    positive = int(np.count_nonzero(rho.eigenvalues))
+    tail = rho.eigenvectors[:, r:positive] * np.sqrt(rho.eigenvalues[r:positive])
+    trace = float(np.vdot(z, z).real + np.vdot(tail, tail).real)
     trace_shift = abs(float(np.trace(moved).real)) * step
     if abs(trace - 1.0) + trace_shift > TRACE_TOL:
         raise InvalidCertificateError(
@@ -185,4 +190,5 @@ def split_nonextreme(
     plus = zq * np.sqrt(1.0 + eta * step)
     minus = zq * np.sqrt(1.0 - eta * step)
     singular, other = (minus, plus) if extreme_eig > 0 else (plus, minus)
-    return bipartite(None, m, n, factor=singular), bipartite(None, m, n, factor=other)
+    return (bipartite(None, m, n, factor=np.hstack([singular, tail])),
+            bipartite(None, m, n, factor=np.hstack([other, tail])))

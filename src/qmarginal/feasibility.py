@@ -6,9 +6,10 @@ construction is attempted. ``necessary_spectra_compat`` is necessary for
 all (m, n); it is also sufficient when m >= n. ``compat_2x2`` and
 ``compat_2x3`` are the exact (necessary and sufficient) criteria for the
 (2, 2) and (2, 3) systems. No simple sufficient criterion is known for
-general m < n, so only the proven special cases are exposed. Both
-spectra must be probability vectors (entries >= -MAJ_TOL, sum within
-MAJ_TOL of 1); anything else raises DomainError.
+general m < n, so only the proven special cases are exposed. Each returns
+a CompatReport of named checks, passing when their slack is >= -MAJ_TOL.
+Both spectra must be probability vectors (entries >= -MAJ_TOL, sum
+within MAJ_TOL of 1); anything else raises DomainError.
 """
 
 from __future__ import annotations
@@ -30,14 +31,20 @@ class RankRange(NamedTuple):
 @dataclass(frozen=True)
 class CompatCheck:
     name: str
-    passed: bool
-    slack: float  # nonnegative (within tol) iff the check passes
+    slack: float
+
+    @property
+    def passed(self) -> bool:
+        return self.slack >= -MAJ_TOL
 
 
 @dataclass(frozen=True)
 class CompatReport:
-    holds: bool
     checks: tuple[CompatCheck, ...]
+
+    @property
+    def holds(self) -> bool:
+        return all(c.passed for c in self.checks)
 
     def __bool__(self) -> bool:
         return self.holds
@@ -92,11 +99,7 @@ def _sorted_desc(v, name, length=None):
     return desc
 
 
-def _check_from_slack(name: str, slack: float, tol: float) -> CompatCheck:
-    return CompatCheck(name=name, passed=slack >= -tol, slack=slack)
-
-
-def necessary_spectra_compat(lam, mu, m: int, tol: float = MAJ_TOL) -> CompatReport:
+def necessary_spectra_compat(lam, mu, m: int) -> CompatReport:
     """Three majorization conditions every (marginal, joint) spectra pair satisfies.
 
     * spread_marginal_vs_joint: each lambda entry repeated m times and
@@ -116,29 +119,27 @@ def necessary_spectra_compat(lam, mu, m: int, tol: float = MAJ_TOL) -> CompatRep
     mu_blocks = mu.reshape(n, m).sum(axis=1)
     lam_padded = np.pad(lam, (0, m * m * n - n))
     lam_blocks = lam_padded.reshape(m * n, m).sum(axis=1)
-    checks = (
-        _check_from_slack("spread_marginal_vs_joint", majorization_slack(spread, mu), tol),
-        _check_from_slack("marginal_vs_mu_block_sums", majorization_slack(lam, mu_blocks), tol),
-        _check_from_slack("joint_vs_lambda_block_sums", majorization_slack(mu, lam_blocks), tol),
-    )
-    return CompatReport(holds=all(c.passed for c in checks), checks=checks)
+    return CompatReport((
+        CompatCheck("spread_marginal_vs_joint", majorization_slack(spread, mu)),
+        CompatCheck("marginal_vs_mu_block_sums", majorization_slack(lam, mu_blocks)),
+        CompatCheck("joint_vs_lambda_block_sums", majorization_slack(mu, lam_blocks)),
+    ))
 
 
-def compat_2x2(lam, mu, tol: float = MAJ_TOL) -> bool:
+def compat_2x2(lam, mu) -> CompatReport:
     """Exact feasibility for (m, n) = (2, 2): mu1 + mu2 >= lambda1."""
     lam = _sorted_desc(lam, "lambda", length=2)
     mu = _sorted_desc(mu, "mu", length=4)
-    return bool(mu[0] + mu[1] >= lam[0] - tol)
+    return CompatReport((CompatCheck("mu1+mu2 >= lambda1", mu[0] + mu[1] - lam[0]),))
 
 
-def compat_2x3(lam, mu, tol: float = MAJ_TOL) -> CompatReport:
+def compat_2x3(lam, mu) -> CompatReport:
     """Exact feasibility for (m, n) = (2, 3): four eigenvalue inequalities."""
     lam = _sorted_desc(lam, "lambda", length=3)
     mu = _sorted_desc(mu, "mu", length=6)
-    checks = (
-        _check_from_slack("mu4+mu5 <= lambda1", lam[0] - (mu[3] + mu[4]), tol),
-        _check_from_slack("lambda1 <= mu1+mu2", (mu[0] + mu[1]) - lam[0], tol),
-        _check_from_slack("mu5+mu6 <= lambda3", lam[2] - (mu[4] + mu[5]), tol),
-        _check_from_slack("lambda3 <= mu2+mu3", (mu[1] + mu[2]) - lam[2], tol),
-    )
-    return CompatReport(holds=all(c.passed for c in checks), checks=checks)
+    return CompatReport((
+        CompatCheck("mu4+mu5 <= lambda1", lam[0] - (mu[3] + mu[4])),
+        CompatCheck("lambda1 <= mu1+mu2", (mu[0] + mu[1]) - lam[0]),
+        CompatCheck("mu5+mu6 <= lambda3", lam[2] - (mu[4] + mu[5])),
+        CompatCheck("lambda3 <= mu2+mu3", (mu[1] + mu[2]) - lam[2]),
+    ))

@@ -2,8 +2,9 @@
 
 Matrix documents: {"rows": int, "cols": int, "entries": [[re, im], ...]}
 row-major; bipartite states add {"m": int, "n": int}. Spectra:
-{"values": [real, ...]}. All floats are printed with 17 significant
-digits so values round-trip exactly.
+{"values": [real, ...]}. A number is a JSON int or float, never a boolean
+(so types are compared exactly: bool is an int subclass). All floats are
+printed with 17 significant digits so values round-trip exactly.
 """
 
 from __future__ import annotations
@@ -72,15 +73,38 @@ def _count(doc: dict, key: str) -> int:
     return value
 
 
+def _items(doc, key: str) -> list:
+    """The list field ``key`` of a document, which must be a JSON object."""
+    if not isinstance(doc, dict):
+        raise DimensionError(f"document must be a JSON object, got {type(doc).__name__}")
+    items = doc[key]
+    if type(items) is not list:
+        raise DimensionError(f"{key} must be a list, got {type(items).__name__}")
+    return items
+
+
+def _floats(items: list, key: str) -> np.ndarray:
+    """Type-checked JSON numbers, or [re, im] pairs of them, as a float array."""
+    try:
+        return np.array(items, dtype=float)
+    except OverflowError as exc:  # name the first int beyond the float range
+        huge = np.abs(np.array(items, dtype=object).reshape(len(items), -1)) > np.finfo(float).max
+        i = int(huge.any(axis=1).argmax())
+        raise DimensionError(f"{key}[{i}] is out of range: OverflowError: {exc}") from None
+
+
 def doc_to_matrix(doc: dict) -> np.ndarray:
+    entries = _items(doc, "entries")
     rows, cols = _count(doc, "rows"), _count(doc, "cols")
-    entries = doc["entries"]
     if len(entries) != rows * cols:
         raise DimensionError(
             f"entries length {len(entries)} != rows*cols = {rows * cols}"
         )
-    flat = np.array([complex(float(re), float(im)) for re, im in entries])
-    return flat.reshape(rows, cols)
+    for i, item in enumerate(entries):
+        if not (type(item) is list and len(item) == 2
+                and type(item[0]) in (int, float) and type(item[1]) in (int, float)):
+            raise DimensionError(f"entries[{i}] must be a [re, im] pair of numbers, got {item!r}")
+    return _floats(entries, "entries").view(complex).reshape(rows, cols)
 
 
 def spectrum_to_doc(values) -> dict:
@@ -88,10 +112,13 @@ def spectrum_to_doc(values) -> dict:
 
 
 def doc_to_spectrum(doc: dict) -> np.ndarray:
-    values = np.asarray(doc["values"], dtype=float).reshape(-1)
-    if values.size == 0:
+    values = _items(doc, "values")
+    if not values:
         raise DimensionError("spectrum document has no values")
-    return values
+    for i, x in enumerate(values):
+        if type(x) not in (int, float):
+            raise DimensionError(f"values[{i}] must be a number, got {x!r}")
+    return _floats(values, "values")
 
 
 def load_doc(path: str) -> dict:

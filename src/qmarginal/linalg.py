@@ -222,9 +222,9 @@ def validate_density(
     )
 
 
-def bipartite(a, m: int, n: int, **tol_overrides) -> BipartiteState:
-    """Validate a raw matrix (or, with ``factor=Z``, the state Z Z*) and attach factor dims."""
-    return BipartiteState(m=m, n=n, rho=validate_density(a, **tol_overrides))
+def bipartite(a, m: int, n: int, *, factor=None) -> BipartiteState:
+    """Validate a matrix (or, with ``factor=Z``, Z Z*) at the default tolerances; attach dims."""
+    return BipartiteState(m=m, n=n, rho=validate_density(a, factor=factor))
 
 
 def random_density(d: int, rank: int, seed: int) -> DensityMatrix:

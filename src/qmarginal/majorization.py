@@ -26,35 +26,31 @@ class MajorizationReport:
         return self.holds
 
 
-def majorizes(x, y, pad: bool = False, tol: float = MAJ_TOL) -> MajorizationReport:
+def _slacks(psx: np.ndarray, psy: np.ndarray) -> list[float]:
+    """y's prefix sums minus x's, then +- the totals' gap; x precedes y iff all are >= -MAJ_TOL."""
+    gaps = (psy - psx).tolist()  # short vectors: Python floats beat numpy calls
+    return gaps[:-1] + [gaps[-1], -gaps[-1]]
+
+
+def majorizes(x, y) -> MajorizationReport:
     """Test whether x is majorized by y (prefix sums of x never exceed y's, totals equal).
 
-    Inputs are sorted internally; with ``pad=True`` the shorter vector is
-    zero-padded first. Prefix sums use compensated summation so the final
-    equality check stays meaningful.
+    Both vectors must have the same length; they are sorted internally, and
+    every comparison is within MAJ_TOL. Prefix sums use compensated
+    summation so the final equality check stays meaningful.
     """
     x = np.asarray(x, dtype=float).reshape(-1)
     y = np.asarray(y, dtype=float).reshape(-1)
     if x.size != y.size:
-        if not pad:
-            raise DimensionError(f"length mismatch {x.size} != {y.size} (pass pad=True to zero-pad)")
-        size = max(x.size, y.size)
-        x = np.pad(x, (0, size - x.size))
-        y = np.pad(y, (0, size - y.size))
+        raise DimensionError(f"length mismatch {x.size} != {y.size}")
     if x.size == 0:
         raise DimensionError("majorization needs non-empty vectors")
     xs = np.sort(x)[::-1]
     ys = np.sort(y)[::-1]
     psx = kernels.prefix_sums(xs)
     psy = kernels.prefix_sums(ys)
-    gaps = psy - psx
-    first = None
-    for i in range(len(gaps) - 1):
-        if gaps[i] < -tol:
-            first = i + 1
-            break
-    if first is None and abs(gaps[-1]) > tol:
-        first = len(gaps)
+    slacks = _slacks(psx, psy)
+    first = next((min(i + 1, x.size) for i, s in enumerate(slacks) if s < -MAJ_TOL), None)
     return MajorizationReport(
         holds=first is None,
         first_violation=first,
@@ -63,13 +59,10 @@ def majorizes(x, y, pad: bool = False, tol: float = MAJ_TOL) -> MajorizationRepo
     )
 
 
-def majorization_slack(x, y, pad: bool = False) -> float:
-    """Signed slack of the x-precedes-y test: nonnegative (within tol) iff it holds."""
-    rep = majorizes(x, y, pad=pad)
-    gaps = rep.partial_sums_y - rep.partial_sums_x
-    total = gaps[-1]
-    candidates = np.concatenate([gaps[:-1], [total, -total]]) if len(gaps) > 1 else np.array([total, -total])
-    return float(candidates.min())
+def majorization_slack(x, y) -> float:
+    """Signed slack of the x-precedes-y test: nonnegative (within MAJ_TOL) iff it holds."""
+    rep = majorizes(x, y)
+    return float(np.min(_slacks(rep.partial_sums_x, rep.partial_sums_y)))
 
 
 def schatten_norm(a, p: float) -> float:

@@ -137,7 +137,7 @@ def test_criterion_6_two_by_two():
     for _ in range(1000):
         lam = random_prob_vector(2, rng)
         mu = random_prob_vector(4, rng)
-        compatible = qm.compat_2x2(lam, mu)
+        compatible = qm.compat_2x2(lam, mu).holds
         try:
             state = qm.construct_with_spectra(lam, mu, 2)
             built = True

@@ -352,6 +352,9 @@ def test_malformed_inputs_are_usage_errors(tmp_path, capsys):
         ('{"rows": 2, "cols": 2, "m": 1e400, %s}' % half, "m must"),
         ('{"rows": 2, "cols": 2, "m": 2.7, %s}' % half, "m must"),
         ('{"rows": 1, "cols": 1, "entries": [[%s, 0]]}' % ("9" * 400), "OverflowError"),
+        ('{"rows": 1, "cols": 1, "entries": [[true, false]]}', "entries[0]"),
+        ('{"rows": 2, "cols": 2, "entries": [[0.5, 0], [0, 0], 5, [0.5, 0]]}', "entries[2]"),
+        ('[{"rows": 1, "cols": 1, "entries": [[1, 0]]}]', "JSON object"),
     ]
     for i, (text, needle) in enumerate(cases):
         path = tmp_path / f"bad{i}.json"
@@ -362,6 +365,12 @@ def test_malformed_inputs_are_usage_errors(tmp_path, capsys):
             assert out is None
             assert err["error"]["type"] == "usage"
             assert needle in err["error"]["message"], (command, text)
+    lam = tmp_path / "bool_values.json"
+    lam.write_text('{"values": [true]}')
+    mu = write(tmp_path, "mu.json", fileio.spectrum_to_doc([0.5, 0.5]))
+    code, out, err = run_cli(capsys, "compat", str(lam), mu)
+    assert (code, out, err["error"]["type"]) == (2, None, "usage")
+    assert "values[0]" in err["error"]["message"]
 
 
 @pytest.mark.parametrize("command", ["compat", "spectra-construct"])

@@ -3,6 +3,7 @@
 Whatever the documents and flags hold, ``main`` returns an exit code in 0-3
 and raises nothing; stdout is empty or one JSON document, and a failure
 leaves stdout empty and exactly one ``{"error": {...}}`` document on stderr.
+A JSON boolean anywhere in a document is a usage error (exit 2).
 """
 
 import json
@@ -16,10 +17,17 @@ HUGE = 10**400  # parses to an int no float can hold
 
 # what a malformed document may hold where a count or a number belongs
 junk = st.one_of(
-    st.sampled_from([None, True, "2", HUGE, -1, 2.5, 1e300, float("inf"), float("nan")]),
+    st.sampled_from([None, True, False, "2", HUGE, -1, 2.5, 1e300, float("inf"), float("nan")]),
     st.integers(-3, 6),
     st.floats(allow_nan=True, allow_infinity=True),
 )
+
+
+def holds_bool(doc) -> bool:
+    """Is there a JSON boolean anywhere in the document?"""
+    if isinstance(doc, dict):
+        doc = list(doc.values())
+    return doc is True or doc is False or isinstance(doc, list) and any(map(holds_bool, doc))
 
 
 @st.composite
@@ -111,6 +119,8 @@ def test_cli_input_contract(tmp_path, capsys, invocation):
     out, err = capsys.readouterr()
 
     assert code in (0, 1, 2, 3)
+    if any(holds_bool(doc) for doc in docs.values()):
+        assert code == 2  # a boolean is never a count, a number or a document
     if out:
         json.loads(out)
     if code == 0 or (code == 1 and argv[0] == "compat"):

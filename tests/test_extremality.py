@@ -137,6 +137,20 @@ class TestSplitNonextreme:
         with pytest.raises(qm.InvalidCertificateError, match="moves"):
             qm.split_nonextreme(state, cert + eps * h)
 
+    @pytest.mark.parametrize("delta", [1.8e-9, 1e-9])
+    def test_eigenvalues_under_the_rank_cutoff_kept(self, delta):
+        # mixing in delta I/6 leaves three eigenvalues of about delta/6 under
+        # the rank cutoff; the halves must still average to the whole state
+        rho = qm.nonextreme_of_rank_k(qm.validate_density(np.eye(3) / 3), 2, 3)
+        state = qm.bipartite((1 - delta) * rho.matrix + delta * np.eye(6) / 6, 2, 3)
+        assert state.rank == 3
+        rho1, rho2 = qm.split_nonextreme(state, qm.is_extreme(state).certificate)
+        assert rho1.rank < state.rank
+        assert np.abs((rho1.matrix + rho2.matrix) / 2 - state.matrix).max() <= 1e-12
+        target = qm.partial_trace_first(state)
+        for part in (rho1, rho2):
+            assert np.abs(qm.partial_trace_first(part) - target).max() <= MARGINAL_TOL
+
     def test_invalid_certificate_rejected(self):
         state = qm.bipartite(np.eye(6) / 6, 2, 3)
         bogus = np.eye(6)  # identity never annihilates the factor products
@@ -147,6 +161,25 @@ class TestSplitNonextreme:
         state = qm.bipartite(np.eye(6) / 6, 2, 3)
         with pytest.raises(qm.InvalidCertificateError):
             qm.split_nonextreme(state, np.eye(2))
+
+
+def test_extreme_rank_statement():
+    # every member at a rank in extreme_rank_range that construct_rank_k
+    # builds is extreme, and every rank above the minimum also has a
+    # non-extreme member
+    extreme = nonextreme = 0
+    for m in range(1, 5):
+        for n in range(1, 9):
+            for r in range(1, n + 1):
+                sigma = qm.random_density(n, r, seed=1000 * m + 10 * n + r)
+                lo, hi = qm.extreme_rank_range(r, m)
+                for k in range(lo, hi + 1):
+                    assert qm.is_extreme(qm.construct_rank_k(sigma, m, k)).is_extreme, (m, n, r, k)
+                    extreme += 1
+                    if k > lo:
+                        assert not qm.is_extreme(qm.nonextreme_of_rank_k(sigma, m, k)).is_extreme
+                        nonextreme += 1
+    assert (extreme, nonextreme) == (334, 190)
 
 
 def stacked_products_loop(z, m, n):

@@ -38,7 +38,6 @@ class TestMajorizes:
             qm.majorizes([], [])
 
     def test_padding(self):
-        assert qm.majorizes([0.6, 0.4], [1.0], pad=True).holds
         with pytest.raises(qm.DimensionError):
             qm.majorizes([0.6, 0.4], [1.0])
 
