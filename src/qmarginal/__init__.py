@@ -11,7 +11,6 @@ from .constructors import (
     construct_23,
     construct_rank_k,
     construct_with_spectra,
-    gadget,
     horn_unitary,
     nonextreme_of_rank_k,
     optimal_low_rank,
@@ -55,7 +54,6 @@ from .linalg import (
 from .majorization import MajorizationReport, majorizes, schatten_norm
 from .oracle import (
     SamplerConfig,
-    competitor_residual_spectra,
     random_state_with_marginal,
     random_unitary,
     search_min_norm,
@@ -87,7 +85,6 @@ __all__ = [
     "bipartite",
     "compat_2x2",
     "compat_2x3",
-    "competitor_residual_spectra",
     "constant_diagonal_conjugate",
     "construct_23",
     "construct_rank_k",
@@ -96,7 +93,6 @@ __all__ = [
     "exact_low_rank_exists",
     "extreme_rank_range",
     "fold",
-    "gadget",
     "hermitian_eig",
     "horn_unitary",
     "is_extreme",

@@ -23,7 +23,7 @@ from .errors import (
     PreconditionError,
     UnsupportedRegimeError,
 )
-from .feasibility import (_positive, _sorted_desc, compat_2x3, element_rank_range,
+from .feasibility import (_compat_2x3, _positive, _sorted_desc, element_rank_range,
                           exact_low_rank_exists, extreme_rank_range)
 from .linalg import BipartiteState, DensityMatrix, bipartite, partial_trace_first
 from .majorization import MAJ_TOL, lp_norm, majorizes
@@ -49,19 +49,6 @@ class ApproxResult:
     mu_shift: float
     exact: bool
     norms: dict[float, float]
-
-
-def gadget(eig_hi: float, eig_lo: float, corner: float) -> np.ndarray:
-    """2x2 real symmetric matrix with eigenvalues {eig_hi, eig_lo} and given corner.
-
-    The off-diagonal ``sqrt((eig_hi - corner)(corner - eig_lo))`` makes
-    ``[[corner, a], [a, eig_hi + eig_lo - corner]]`` have eigenvalues
-    exactly {eig_hi, eig_lo}; needs eig_lo <= corner <= eig_hi.
-    """
-    if not eig_lo - MAJ_TOL <= corner <= eig_hi + MAJ_TOL:
-        raise PreconditionError(f"corner {corner} outside [{eig_lo}, {eig_hi}]")
-    a = math.sqrt(max((eig_hi - corner) * (corner - eig_lo), 0.0))
-    return np.array([[corner, a], [a, eig_hi + eig_lo - corner]])
 
 
 def _factor(d: np.ndarray, n: int, m: int, k: int) -> np.ndarray:
@@ -227,14 +214,13 @@ def construct_with_spectra(lam, mu, m: int) -> BipartiteState:
     must be probability vectors; anything else raises DomainError.
     """
     _positive("m", m)
-    lam = _sorted_desc(lam, "lambda")
+    lam = np.array(_sorted_desc(lam, "lambda"))
     n = lam.size
     if m < n:
         raise UnsupportedRegimeError(
             f"spectra-prescribed construction needs m >= n, got m={m} < n={n}"
         )
-    mu = _sorted_desc(mu, "mu", length=m * n)
-    blocks = mu.reshape(n, m)
+    blocks = np.array(_sorted_desc(mu, "mu", length=m * n)).reshape(n, m)
     u = horn_unitary(blocks.sum(axis=1), lam)  # PreconditionError unless majorized
     # (I (x) U)* (A_k (x) e_k e_k*) (I (x) U) = A_k (x) u_k u_k*, u_k* the k-th row of U
     a = np.zeros((m * n, m * n), dtype=complex)
@@ -279,11 +265,10 @@ def construct_23(lam, mu) -> BipartiteState:
     """
     lam = _sorted_desc(lam, "lambda", length=3)
     mu = _sorted_desc(mu, "mu", length=6)
-    report = compat_2x3(lam, mu)
+    report = _compat_2x3(lam, mu)
     if not report.holds:
         failed = [c.name for c in report.checks if not c.passed]
         raise InfeasibleError(f"spectra incompatible for a (2,3) system: {failed}")
-    lam, mu = lam.tolist(), mu.tolist()
     state = _search_23(lam, mu, mu)
     if state is None:
         state = _search_23(lam, _feasible_mu(lam, mu), mu)
@@ -375,6 +360,11 @@ def _feasible_mu(lam, mu) -> list[float]:
 
 
 def _gadget_offdiag(hat_a, hat_b, mu_a, mu_b) -> float:
+    """Off-diagonal x of the gadget [[hat_a, x], [x, hat_b]] with eigenvalues {mu_a, mu_b}.
+
+    Exact when hat_a + hat_b = mu_a + mu_b and both hats lie between mu_a and
+    mu_b; a hat outside that range, possible within MAJ_TOL, clamps x to 0.
+    """
     return math.sqrt(max(hat_a * hat_b - mu_a * mu_b, 0.0))
 
 

@@ -40,6 +40,9 @@ from .linalg import TRACE_TOL, BipartiteState, bipartite, partial_trace_first
 INDEP_TOL = 1e-8
 MARGINAL_INDEP_TOL = 1e-6
 CERT_RESIDUAL_TOL = 1e-7
+# total weight of the smallest eigenvalues a split may leave out of both halves:
+# the roundoff of a state validated from its matrix, not its spectrum
+ROUNDOFF_TAIL = 1e-2 * MARGINAL_TOL
 
 
 @dataclass(frozen=True)
@@ -145,7 +148,8 @@ def split_nonextreme(
     With cert = Q diag(eta) Q*, each half Z (I +- t*cert) Z* + T T* is
     validated from its factor [Z Q diag(sqrt(1 +- t*eta)), T], whose singular
     side has an exact zero column; T = V sqrt(lambda) over the positive
-    eigenvalues under the rank cutoff, so the halves average to the state. A
+    eigenvalues under the rank cutoff, so the halves average to the state,
+    except for the smallest ones whose sum stays under ROUNDOFF_TAIL. A
     certificate whose step would move the marginal by more than MARGINAL_TOL,
     or a half's trace by more than TRACE_TOL, is rejected before either half
     is built.
@@ -178,6 +182,9 @@ def split_nonextreme(
         )
     rho = state.rho
     positive = int(np.count_nonzero(rho.eigenvalues))
+    # eigenvalues of about 1e-16 from an eigh would give each half a column apiece
+    smallest_first = np.cumsum(rho.eigenvalues[r:positive][::-1])
+    positive -= int(np.searchsorted(smallest_first, ROUNDOFF_TAIL, side="right"))
     tail = rho.eigenvectors[:, r:positive] * np.sqrt(rho.eigenvalues[r:positive])
     trace = float(np.vdot(z, z).real + np.vdot(tail, tail).real)
     trace_shift = abs(float(np.trace(moved).real)) * step

@@ -14,13 +14,15 @@ within MAJ_TOL of 1); anything else raises DomainError.
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DimensionError, DomainError
-from .majorization import MAJ_TOL, majorization_slack
+from .majorization import MAJ_TOL, _slack
 
 
 class RankRange(NamedTuple):
@@ -83,20 +85,32 @@ def exact_low_rank_exists(r: int, m: int, k: int) -> bool:
     return m * k >= r
 
 
-def _sorted_desc(v, name, length=None):
-    """Descending copy of a probability vector: entries >= -MAJ_TOL, sum within MAJ_TOL of 1."""
+def _sorted_desc(v, name, length=None) -> list[float]:
+    """Descending list of a probability vector: entries >= -MAJ_TOL, sum within MAJ_TOL of 1.
+
+    Spectra are short: Python floats beat numpy calls.
+    """
     v = np.asarray(v, dtype=float).reshape(-1)
     if length is not None and v.size != length:
         raise DimensionError(f"{name} must have length {length}, got {v.size}")
-    desc = np.sort(v)[::-1]
-    vals = desc.tolist()  # spectra are short: Python floats beat two numpy reductions
+    vals = sorted(v.tolist(), reverse=True)
     total = sum(vals)
     low = vals[-1] if vals else 0.0
     if not (low >= -MAJ_TOL and abs(total - 1.0) <= MAJ_TOL):  # also rejects NaN
+        if total != total:  # NaN, which sorted() may leave anywhere: name the least number
+            low = min((x for x in vals if x == x), default=total)
         raise DomainError(
             f"{name} must be a probability vector, got sum {total!r} and min entry {low!r}"
         )
-    return desc
+    return vals
+
+
+def _block_sums(vals: list[float], m: int) -> list[float]:
+    """Sums of consecutive m-blocks of vals, the last one zero-padded, in numpy's order."""
+    if m >= 8:  # numpy sums 8 or more terms pairwise
+        padded = vals + [0.0] * (-len(vals) % m)
+        return np.add.reduce(np.reshape(padded, (-1, m)), axis=1).tolist()
+    return [functools.reduce(operator.add, vals[i:i + m]) for i in range(0, len(vals), m)]
 
 
 def necessary_spectra_compat(lam, mu, m: int) -> CompatReport:
@@ -113,16 +127,17 @@ def necessary_spectra_compat(lam, mu, m: int) -> CompatReport:
     """
     _positive("m", m)
     lam = _sorted_desc(lam, "lambda")
-    n = lam.size
+    n = len(lam)
     mu = _sorted_desc(mu, "mu", length=m * n)
-    spread = np.repeat(lam, m) / m
-    mu_blocks = mu.reshape(n, m).sum(axis=1)
-    lam_padded = np.pad(lam, (0, m * m * n - n))
-    lam_blocks = lam_padded.reshape(m * n, m).sum(axis=1)
+    # block sums of descending lists are descending, so every list below is sorted
+    spread = [x / m for x in lam for _ in range(m)]
+    mu_blocks = _block_sums(mu, m)
+    lam_blocks = _block_sums(lam, m)
+    lam_blocks += [0.0] * (m * n - len(lam_blocks))
     return CompatReport((
-        CompatCheck("spread_marginal_vs_joint", majorization_slack(spread, mu)),
-        CompatCheck("marginal_vs_mu_block_sums", majorization_slack(lam, mu_blocks)),
-        CompatCheck("joint_vs_lambda_block_sums", majorization_slack(mu, lam_blocks)),
+        CompatCheck("spread_marginal_vs_joint", _slack(spread, mu)),
+        CompatCheck("marginal_vs_mu_block_sums", _slack(lam, mu_blocks)),
+        CompatCheck("joint_vs_lambda_block_sums", _slack(mu, lam_blocks)),
     ))
 
 
@@ -135,8 +150,11 @@ def compat_2x2(lam, mu) -> CompatReport:
 
 def compat_2x3(lam, mu) -> CompatReport:
     """Exact feasibility for (m, n) = (2, 3): four eigenvalue inequalities."""
-    lam = _sorted_desc(lam, "lambda", length=3)
-    mu = _sorted_desc(mu, "mu", length=6)
+    return _compat_2x3(_sorted_desc(lam, "lambda", length=3), _sorted_desc(mu, "mu", length=6))
+
+
+def _compat_2x3(lam: list[float], mu: list[float]) -> CompatReport:
+    """``compat_2x3`` on spectra already through ``_sorted_desc``."""
     return CompatReport((
         CompatCheck("mu4+mu5 <= lambda1", lam[0] - (mu[3] + mu[4])),
         CompatCheck("lambda1 <= mu1+mu2", (mu[0] + mu[1]) - lam[0]),

@@ -12,7 +12,9 @@ Stream layout contracts:
   built on raws ``(start+2t, start+2t+1)``; ``count`` must be even.
 * ``residual_spectra`` - trial ``t`` consumes raws
   ``[start + t*2*m*n*k, start + (t+1)*2*m*n*k)``; the Gaussian factor entry
-  ``(i, j)`` uses the normal pair at offset ``2*(i*k + j)``.
+  ``(i, j)`` uses the normal pair at offset ``2*(i*k + j)``. The reduced
+  state of each trial is one batched matmul ``h @ h*`` over the factor
+  folded to ``h`` of shape ``(n, m*k)``.
 * ``census_spectra`` - same scheme with ``2*(m*n)**2`` raws per trial.
 
 Any reimplementation of the mix reproduces the uint64 stream and the
@@ -80,8 +82,9 @@ def residual_spectra(sigma, m, n, k, trials, seed, start=0) -> np.ndarray:
     while done < trials:
         c = min(RESIDUAL_BATCH, trials - done)
         g = _ginibre_batch(m, n, k, c, seed, start + done * per)
-        gr = g.reshape(c, m, n, k)
-        red = np.einsum("taic,tajc->tij", gr, gr.conj())
+        # tr_1(G G*)[i, j] sums over (a, c) of G[a*n + i, c] conj(G[a*n + j, c])
+        h = g.reshape(c, m, n, k).transpose(0, 2, 1, 3).reshape(c, n, m * k)
+        red = h @ h.conj().transpose(0, 2, 1)
         tr = np.einsum("tii->t", red).real
         a = sigma[None, :, :] - red / tr[:, None, None]
         w = np.linalg.eigvalsh(a)
@@ -112,9 +115,15 @@ def census_spectra(m, n, trials, seed, start=0):
 
 def prefix_sums(v) -> np.ndarray:
     """Neumaier-compensated running sums."""
+    return np.array(_running_sums(np.asarray(v, dtype=np.float64).ravel().tolist()),
+                    dtype=np.float64)
+
+
+def _running_sums(vals: list[float]) -> list[float]:
+    """Neumaier-compensated running sums of a list of Python floats."""
     out = []
     s = comp = 0.0
-    for val in np.asarray(v, dtype=np.float64).ravel().tolist():
+    for val in vals:
         t = s + val
         if abs(s) >= abs(val):
             comp += (s - t) + val
@@ -122,4 +131,4 @@ def prefix_sums(v) -> np.ndarray:
             comp += (val - t) + s
         s = t
         out.append(s + comp)
-    return np.array(out, dtype=np.float64)
+    return out

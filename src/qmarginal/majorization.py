@@ -26,10 +26,35 @@ class MajorizationReport:
         return self.holds
 
 
-def _slacks(psx: np.ndarray, psy: np.ndarray) -> list[float]:
+def _slacks(psx: list[float], psy: list[float]) -> list[float]:
     """y's prefix sums minus x's, then +- the totals' gap; x precedes y iff all are >= -MAJ_TOL."""
-    gaps = (psy - psx).tolist()  # short vectors: Python floats beat numpy calls
-    return gaps[:-1] + [gaps[-1], -gaps[-1]]
+    gaps = [b - a for a, b in zip(psx, psy)]
+    gaps.append(-gaps[-1])
+    return gaps
+
+
+def _slack(xs: list[float], ys: list[float]) -> float:
+    """Signed slack of x preceding y, for descending lists of one nonzero length.
+
+    Spectra are short: Python floats beat numpy calls.
+    """
+    slacks = _slacks(kernels._running_sums(xs), kernels._running_sums(ys))
+    low = min(slacks)
+    # a zero minimum ties +0.0 with the -0.0 of an exact total gap; the sign
+    # is the one numpy's reduction picks
+    return float(np.min(slacks)) if low == 0.0 else low
+
+
+def _descending_pair(x, y) -> tuple[list[float], list[float]]:
+    """x and y as descending lists, after the length checks of the x-precedes-y test."""
+    x = np.asarray(x, dtype=float).reshape(-1)
+    y = np.asarray(y, dtype=float).reshape(-1)
+    if x.size != y.size:
+        raise DimensionError(f"length mismatch {x.size} != {y.size}")
+    if x.size == 0:
+        raise DimensionError("majorization needs non-empty vectors")
+    # numpy's sort, not sorted(): it puts NaN first in descending order
+    return np.sort(x)[::-1].tolist(), np.sort(y)[::-1].tolist()
 
 
 def majorizes(x, y) -> MajorizationReport:
@@ -39,30 +64,21 @@ def majorizes(x, y) -> MajorizationReport:
     every comparison is within MAJ_TOL. Prefix sums use compensated
     summation so the final equality check stays meaningful.
     """
-    x = np.asarray(x, dtype=float).reshape(-1)
-    y = np.asarray(y, dtype=float).reshape(-1)
-    if x.size != y.size:
-        raise DimensionError(f"length mismatch {x.size} != {y.size}")
-    if x.size == 0:
-        raise DimensionError("majorization needs non-empty vectors")
-    xs = np.sort(x)[::-1]
-    ys = np.sort(y)[::-1]
-    psx = kernels.prefix_sums(xs)
-    psy = kernels.prefix_sums(ys)
+    xs, ys = _descending_pair(x, y)
+    psx, psy = kernels._running_sums(xs), kernels._running_sums(ys)
     slacks = _slacks(psx, psy)
-    first = next((min(i + 1, x.size) for i, s in enumerate(slacks) if s < -MAJ_TOL), None)
+    first = next((min(i + 1, len(xs)) for i, s in enumerate(slacks) if s < -MAJ_TOL), None)
     return MajorizationReport(
         holds=first is None,
         first_violation=first,
-        partial_sums_x=psx,
-        partial_sums_y=psy,
+        partial_sums_x=np.array(psx),
+        partial_sums_y=np.array(psy),
     )
 
 
 def majorization_slack(x, y) -> float:
     """Signed slack of the x-precedes-y test: nonnegative (within MAJ_TOL) iff it holds."""
-    rep = majorizes(x, y)
-    return float(np.min(_slacks(rep.partial_sums_x, rep.partial_sums_y)))
+    return _slack(*_descending_pair(x, y))
 
 
 def schatten_norm(a, p: float) -> float:
@@ -75,15 +91,33 @@ def schatten_norm(a, p: float) -> float:
 
 def lp_norm(values, p: float) -> float:
     """l_p norm of a real vector for p in [1, inf]."""
-    if not p >= 1:  # also rejects NaN
-        raise DomainError(f"Schatten/l_p norms need p >= 1, got {p}")
+    _require_norm_p(p)
     v = np.abs(np.asarray(values, dtype=float))
     if v.size == 0:
         return 0.0
+    return float(_lp_root(_lp_power_sums(v, p), p))
+
+
+def _require_norm_p(p: float) -> None:
+    if not p >= 1:  # also rejects NaN
+        raise DomainError(f"Schatten/l_p norms need p >= 1, got {p}")
+
+
+def _lp_power_sums(v: np.ndarray, p: float, axis=None):
+    """Sums of v**p along axis (all of v for None; the max for p = inf): norms before ``_lp_root``."""
     if np.isinf(p):
-        return float(v.max())
+        return v.max(axis=axis)
     if p == 1:
-        return float(v.sum())
+        return v.sum(axis=axis)
     if p == 2:
-        return float(np.sqrt((v * v).sum()))
-    return float((v ** p).sum() ** (1.0 / p))
+        return (v * v).sum(axis=axis)
+    return (v ** p).sum(axis=axis)
+
+
+def _lp_root(s, p: float):
+    """The increasing map from ``_lp_power_sums`` to the norm."""
+    if np.isinf(p) or p == 1:
+        return s
+    if p == 2:
+        return np.sqrt(s)
+    return s ** (1.0 / p)

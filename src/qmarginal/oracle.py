@@ -18,7 +18,7 @@ from .constructors import _factor, _lifted
 from .errors import DomainError
 from .feasibility import element_rank_range
 from .linalg import BipartiteState, DensityMatrix, bipartite
-from .majorization import lp_norm
+from .majorization import _lp_power_sums, _lp_root, _require_norm_p
 from .rng import PortableRng
 
 
@@ -69,34 +69,21 @@ def random_state_with_marginal(
     return bipartite(total, m, n)
 
 
-def competitor_residual_spectra(
-    sigma: DensityMatrix, m: int, k: int, cfg: SamplerConfig
-) -> np.ndarray:
-    """Descending spectra of sigma - tr1(state) over random rank-<=k states.
-
-    States are normalized Gaussian factors of width k; row t is trial t.
-    """
-    return kernels.residual_spectra(
-        sigma.matrix, m, sigma.dim, k, cfg.trials, cfg.seed
-    )
-
-
 def search_min_norm(
     sigma: DensityMatrix, m: int, k: int, p: float, cfg: SamplerConfig
 ) -> float:
     """Smallest Schatten-p distance from sigma to a sampled rank-<=k marginal.
 
-    A running minimum over the trial stream: more trials with the same
-    seed can only decrease the value.
+    The competitors are normalized Gaussian factors of width k, trial t
+    from ``kernels.residual_spectra``'s stream. A running minimum over the
+    trial stream: more trials with the same seed can only decrease the
+    value. Each trial's norm is ``lp_norm`` of its residual spectrum; the
+    norms of all trials come from one reduction.
     """
-    spectra = competitor_residual_spectra(sigma, m, k, cfg)
-    if np.isinf(p):
-        vals = np.abs(spectra).max(axis=1)
-    elif p == 1:
-        vals = np.abs(spectra).sum(axis=1)
-    else:
-        vals = np.array([lp_norm(row, p) for row in spectra])
-    return float(vals.min())
+    _require_norm_p(p)  # before any spectra are drawn
+    spectra = kernels.residual_spectra(sigma.matrix, m, sigma.dim, k, cfg.trials, cfg.seed)
+    # the root is increasing, so it is taken once, of the smallest power sum
+    return float(_lp_root(_lp_power_sums(np.abs(spectra), p, axis=1).min(), p))
 
 
 def spectra_pair_census(m: int, n: int, cfg: SamplerConfig) -> list[tuple[np.ndarray, np.ndarray]]:

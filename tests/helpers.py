@@ -3,6 +3,8 @@
 import numpy as np
 
 from qmarginal import (
+    DimensionError,
+    DomainError,
     PortableRng,
     SamplerConfig,
     compat_2x3,
@@ -78,3 +80,83 @@ def band_edge_pairs(count, seed):
                 hi = t
         out.append(((1 - lo) * lam_in + lo * lam_out, (1 - lo) * mu_in + lo * mu_out))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Reference spectra predicates: the numpy formulation the library had before
+# it moved to Python floats. They return [(check name, slack)] and raise the
+# library's error types and messages; the library must match them bit for bit.
+# ---------------------------------------------------------------------------
+
+REF_MAJ_TOL = 1e-10
+
+
+def ref_prefix_sums(v):
+    out = []
+    s = comp = 0.0
+    for val in np.asarray(v, dtype=np.float64).ravel().tolist():
+        t = s + val
+        if abs(s) >= abs(val):
+            comp += (s - t) + val
+        else:
+            comp += (val - t) + s
+        s = t
+        out.append(s + comp)
+    return np.array(out, dtype=np.float64)
+
+
+def ref_majorization_slack(x, y):
+    x = np.asarray(x, dtype=float).reshape(-1)
+    y = np.asarray(y, dtype=float).reshape(-1)
+    if x.size != y.size:
+        raise DimensionError(f"length mismatch {x.size} != {y.size}")
+    if x.size == 0:
+        raise DimensionError("majorization needs non-empty vectors")
+    gaps = (ref_prefix_sums(np.sort(y)[::-1]) - ref_prefix_sums(np.sort(x)[::-1])).tolist()
+    return float(np.min(gaps[:-1] + [gaps[-1], -gaps[-1]]))
+
+
+def ref_sorted_desc(v, name, length=None):
+    v = np.asarray(v, dtype=float).reshape(-1)
+    if length is not None and v.size != length:
+        raise DimensionError(f"{name} must have length {length}, got {v.size}")
+    desc = np.sort(v)[::-1]
+    vals = desc.tolist()
+    total = sum(vals)
+    low = vals[-1] if vals else 0.0
+    if not (low >= -REF_MAJ_TOL and abs(total - 1.0) <= REF_MAJ_TOL):
+        raise DomainError(
+            f"{name} must be a probability vector, got sum {total!r} and min entry {low!r}"
+        )
+    return desc
+
+
+def ref_necessary_spectra_compat(lam, mu, m):
+    lam = ref_sorted_desc(lam, "lambda")
+    n = lam.size
+    mu = ref_sorted_desc(mu, "mu", length=m * n)
+    spread = np.repeat(lam, m) / m
+    mu_blocks = mu.reshape(n, m).sum(axis=1)
+    lam_blocks = np.pad(lam, (0, m * m * n - n)).reshape(m * n, m).sum(axis=1)
+    return [
+        ("spread_marginal_vs_joint", ref_majorization_slack(spread, mu)),
+        ("marginal_vs_mu_block_sums", ref_majorization_slack(lam, mu_blocks)),
+        ("joint_vs_lambda_block_sums", ref_majorization_slack(mu, lam_blocks)),
+    ]
+
+
+def ref_compat_2x2(lam, mu):
+    lam = ref_sorted_desc(lam, "lambda", length=2)
+    mu = ref_sorted_desc(mu, "mu", length=4)
+    return [("mu1+mu2 >= lambda1", mu[0] + mu[1] - lam[0])]
+
+
+def ref_compat_2x3(lam, mu):
+    lam = ref_sorted_desc(lam, "lambda", length=3)
+    mu = ref_sorted_desc(mu, "mu", length=6)
+    return [
+        ("mu4+mu5 <= lambda1", lam[0] - (mu[3] + mu[4])),
+        ("lambda1 <= mu1+mu2", (mu[0] + mu[1]) - lam[0]),
+        ("mu5+mu6 <= lambda3", lam[2] - (mu[4] + mu[5])),
+        ("lambda3 <= mu2+mu3", (mu[1] + mu[2]) - lam[2]),
+    ]

@@ -9,6 +9,7 @@ import functools
 import numpy as np
 
 import qmarginal as qm
+from qmarginal import kernels
 from qmarginal.majorization import lp_norm
 
 from helpers import random_prob_vector, sigma_corpus, t_transform_mix
@@ -85,8 +86,8 @@ def test_criterion_3_optimal_residual():
                     lam[m * k:], np.zeros(n - r), -np.full(m * k, mu)
                 ]))[::-1]
                 assert np.abs(res.residual_spectrum - expect).max() <= 1e-10
-                spectra = qm.competitor_residual_spectra(
-                    sigma, m, k, qm.SamplerConfig(seed=32_000 + 10 * i + m, trials=200)
+                spectra = kernels.residual_spectra(
+                    sigma.matrix, m, sigma.dim, k, trials=200, seed=32_000 + 10 * i + m
                 )
                 for row in spectra:
                     assert qm.majorizes(res.residual_spectrum, row).holds

@@ -5,6 +5,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 import qmarginal as qm
+from qmarginal import kernels
+from qmarginal.constructors import _gadget_offdiag
 
 from helpers import band_edge_pairs, haar_unitary, random_prob_vector, sigma_corpus, t_transform_mix
 
@@ -157,8 +159,8 @@ class TestOptimalLowRank:
                 expect = np.sort(expect)[::-1]
                 assert np.abs(res.residual_spectrum - expect).max() <= 1e-10
                 assert abs(res.residual_spectrum.sum()) <= 1e-10
-                spectra = qm.competitor_residual_spectra(
-                    sigma, m, k, qm.SamplerConfig(seed=7000 + seed, trials=50)
+                spectra = kernels.residual_spectra(
+                    sigma.matrix, m, sigma.dim, k, trials=50, seed=7000 + seed
                 )
                 for p in (1.0, 2.0, np.inf):
                     # taken from residual_spectrum, in schatten_norm's summation order
@@ -269,23 +271,32 @@ class TestConstructWithSpectra:
             qm.construct_with_spectra(lam, mu, 2)
 
 
+def gadget(hat_a, hat_b, mu_a, mu_b):
+    """The 2x2 gadget construct_23 places: diagonal (hat_a, hat_b), coupling from _gadget_offdiag."""
+    x = _gadget_offdiag(hat_a, hat_b, mu_a, mu_b)
+    return np.array([[hat_a, x], [x, hat_b]])
+
+
 class TestGadget:
+    # hat_a + hat_b = mu_a + mu_b; the eigenvalues are {mu_a, mu_b} while
+    # both hats lie between them
     def test_half_corner(self):
-        assert_allclose(qm.gadget(1.0, 0.0, 0.5), np.full((2, 2), 0.5))
+        assert_allclose(gadget(0.5, 0.5, 0.0, 1.0), np.full((2, 2), 0.5))
 
     def test_degenerate(self):
-        assert_allclose(qm.gadget(0.2, 0.2, 0.2), np.diag([0.2, 0.2]))
+        assert_allclose(gadget(0.2, 0.2, 0.2, 0.2), np.diag([0.2, 0.2]))
 
     def test_boundary_corner(self):
-        assert_allclose(qm.gadget(0.3, 0.1, 0.3), np.diag([0.3, 0.1]))
+        assert_allclose(gadget(0.3, 0.1, 0.1, 0.3), np.diag([0.3, 0.1]))
 
     def test_eigenvalues_exact(self):
-        g = qm.gadget(0.7, 0.1, 0.55)
-        assert_allclose(np.linalg.eigvalsh(g), [0.1, 0.7], atol=1e-12)
+        for hat_a in (0.1, 0.25, 0.4, 0.55, 0.7):
+            g = gadget(hat_a, 0.8 - hat_a, 0.1, 0.7)
+            assert_allclose(np.linalg.eigvalsh(g), [0.1, 0.7], atol=1e-12)
 
     def test_corner_out_of_range(self):
-        with pytest.raises(qm.PreconditionError):
-            qm.gadget(0.3, 0.1, 0.5)
+        # a hat outside [mu_a, mu_b] by up to MAJ_TOL clamps the coupling to 0
+        assert _gadget_offdiag(0.7 + 1e-11, 0.1 - 1e-11, 0.1, 0.7) == 0.0
 
 
 def built_23(lam, mu, eig_calls):

@@ -6,6 +6,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import qmarginal as qm
+from qmarginal import extremality
 from qmarginal.constructors import MARGINAL_TOL
 from qmarginal.extremality import CERT_RESIDUAL_TOL, _scaled_factors
 from qmarginal.linalg import TRACE_TOL, fold
@@ -150,6 +151,29 @@ class TestSplitNonextreme:
         target = qm.partial_trace_first(state)
         for part in (rho1, rho2):
             assert np.abs(qm.partial_trace_first(part) - target).max() <= MARGINAL_TOL
+
+    @pytest.mark.parametrize("n, m, k", [(8, 4, 3), (16, 8, 3)])
+    def test_matrix_loaded_state_splits_like_factor_built(self, n, m, k, monkeypatch):
+        # a state loaded from its matrix has eigh roundoff of about 1e-16
+        # beyond its rank; it must not give the halves a column apiece
+        widths = []
+        validate = extremality.bipartite
+
+        def recording(a, m, n, *, factor=None):
+            widths.append(factor.shape[1])
+            return validate(a, m, n, factor=factor)
+
+        monkeypatch.setattr(extremality, "bipartite", recording)
+        built = qm.nonextreme_of_rank_k(qm.random_density(n, n, seed=3), m, k)
+        loaded = qm.bipartite(built.matrix, m, n)
+        assert np.count_nonzero(loaded.rho.eigenvalues) > k
+        for state in (built, loaded):
+            rho1, rho2 = qm.split_nonextreme(state, qm.is_extreme(state).certificate)
+            assert rho1.rank < state.rank
+            target = qm.partial_trace_first(state)
+            for part in (rho1, rho2):
+                assert np.abs(qm.partial_trace_first(part) - target).max() <= MARGINAL_TOL
+        assert widths == [k] * 4
 
     def test_invalid_certificate_rejected(self):
         state = qm.bipartite(np.eye(6) / 6, 2, 3)

@@ -1,9 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qmarginal as qm
+from qmarginal.majorization import majorization_slack
 
-from helpers import random_prob_vector
+from helpers import (
+    random_prob_vector,
+    ref_compat_2x2,
+    ref_compat_2x3,
+    ref_majorization_slack,
+    ref_necessary_spectra_compat,
+)
 
 
 class TestRankRanges:
@@ -185,3 +194,84 @@ def test_block_majorization_implies_constructible():
         assert np.abs(state.rho.eigenvalues - mu).max() <= 1e-8
         built += 1
     assert built >= 20
+
+
+def _outcome(fn, *args):
+    """Checks as (name, slack in hex), which tells -0.0 from 0.0, or the error's type and text."""
+    try:
+        out = fn(*args)
+    except (qm.DimensionError, qm.DomainError) as exc:
+        return type(exc).__name__, str(exc)
+    if isinstance(out, qm.CompatReport):
+        out = [(c.name, c.slack) for c in out.checks]
+    elif not isinstance(out, list):
+        out = [("slack", out)]
+    return [(name, float(slack).hex()) for name, slack in out]
+
+
+@st.composite
+def _weights(draw, size):
+    """size nonnegative weights, unsorted, with ties and exact zeros."""
+    entry = st.one_of(st.integers(0, 3).map(float), st.floats(0.0, 1.0))
+    return draw(st.lists(entry, min_size=size, max_size=size))
+
+
+def _normalized(w):
+    total = sum(w)
+    return [x / total for x in w] if total > 0 else [1.0] + [0.0] * (len(w) - 1)
+
+
+@st.composite
+def _spectra_pairs(draw):
+    """(m, lambda, mu): probability vectors, or one of them with a fault."""
+    exact = st.sampled_from([(2, 2), (2, 3)])  # where compat_2x2 and compat_2x3 apply
+    m, n = draw(st.one_of(exact, st.tuples(st.integers(1, 4), st.integers(1, 6))))
+    lam = _normalized(draw(_weights(n)))
+    mu = _normalized(draw(_weights(m * n)))
+    fault = draw(st.sampled_from(["none", "none", "none", "length", "nan", "negative", "scale"]))
+    vec = lam if draw(st.booleans()) else mu
+    i = draw(st.integers(0, len(vec) - 1))
+    if fault == "length":
+        if draw(st.booleans()):
+            vec.append(0.0)
+        else:
+            del vec[i]
+    elif fault == "nan":
+        vec[i] = float("nan")
+    elif fault == "negative":
+        vec[i] -= draw(st.sampled_from([1e-9, 0.25]))
+    elif fault == "scale":
+        vec[:] = [x * draw(st.sampled_from([0.5, 1.0 + 1e-9, 2.0])) for x in vec]
+    return m, lam, mu
+
+
+class TestPredicatesMatchReference:
+    # the predicates on Python floats give the numpy reference's slacks bit for
+    # bit, sign of zero included (the CLI prints them), and its errors
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(_spectra_pairs())
+    def test_slacks_and_errors(self, case):
+        m, lam, mu = case
+        assert _outcome(qm.necessary_spectra_compat, lam, mu, m) == _outcome(
+            ref_necessary_spectra_compat, lam, mu, m)
+        assert _outcome(qm.compat_2x2, lam, mu) == _outcome(ref_compat_2x2, lam, mu)
+        assert _outcome(qm.compat_2x3, lam, mu) == _outcome(ref_compat_2x3, lam, mu)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 10).flatmap(lambda size: st.tuples(_weights(size), _weights(size))))
+    def test_majorization_slack(self, pair):
+        x, y = pair
+        assert _outcome(majorization_slack, x, y) == _outcome(ref_majorization_slack, x, y)
+        x, y = _normalized(x), _normalized(y)
+        assert _outcome(majorization_slack, x, y) == _outcome(ref_majorization_slack, x, y)
+
+    @pytest.mark.parametrize("m", [8, 9, 17])
+    def test_long_blocks(self, m):
+        # blocks of 8 or more terms, which numpy sums pairwise
+        rng = qm.PortableRng(40 + m)
+        for n in (1, 2, 5):
+            for _ in range(20):
+                lam = random_prob_vector(n, rng, sorted_desc=False)
+                mu = random_prob_vector(m * n, rng, sorted_desc=False)
+                assert _outcome(qm.necessary_spectra_compat, lam, mu, m) == _outcome(
+                    ref_necessary_spectra_compat, lam, mu, m)

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 import qmarginal as qm
+from qmarginal import kernels
+from qmarginal.majorization import lp_norm
 
 
 class TestRandomStateWithMarginal:
@@ -100,10 +102,31 @@ class TestCensus:
             assert np.array_equal(m1, m2)
 
 
+@pytest.mark.parametrize("m, n, k", [(2, 6, 2), (3, 4, 1), (2, 8, 3), (2, 9, 4)])
+def test_search_min_norm_is_min_of_lp_norm_per_row(m, n, k):
+    sigma = qm.random_density(n, n, seed=30 + n)
+    cfg = qm.SamplerConfig(seed=12, trials=300)
+    spectra = kernels.residual_spectra(sigma.matrix, m, n, k, cfg.trials, cfg.seed)
+    for p in (1.0, 1.5, 2.0, 3.0, np.inf):
+        want = min(lp_norm(row, p) for row in spectra)
+        assert qm.search_min_norm(sigma, m, k, p, cfg) == want
+
+
+@pytest.mark.parametrize("p", [0.5, 0.0, -np.inf, float("nan")])
+def test_search_min_norm_rejects_p_before_sampling(p, monkeypatch):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("spectra drawn for an invalid p")
+
+    monkeypatch.setattr(kernels, "residual_spectra", no_draws)
+    sigma = qm.random_density(3, 3, seed=2)
+    with pytest.raises(qm.DomainError):
+        qm.search_min_norm(sigma, 2, 1, p, qm.SamplerConfig(seed=1, trials=10))
+
+
 class TestCompetitorSpectra:
     def test_zero_sum_rows(self):
         sigma = qm.random_density(5, 5, seed=20)
-        spectra = qm.competitor_residual_spectra(sigma, 2, 2, qm.SamplerConfig(seed=11, trials=200))
+        spectra = kernels.residual_spectra(sigma.matrix, 2, sigma.dim, 2, trials=200, seed=11)
         assert spectra.shape == (200, 5)
         assert np.abs(spectra.sum(axis=1)).max() <= 1e-10
         assert np.all(np.diff(spectra, axis=1) <= 1e-12)
