@@ -19,7 +19,8 @@ Stream layout contracts:
 
 Any reimplementation of the mix reproduces the uint64 stream and the
 uniform doubles bit for bit; normals and everything downstream may differ
-by libm rounding (a few ulps).
+by libm rounding and, from the reduced states on, by the matmul's summation
+order (a few ulps).
 """
 
 from __future__ import annotations

@@ -241,7 +241,8 @@ def _spectra_pairs(draw):
     elif fault == "negative":
         vec[i] -= draw(st.sampled_from([1e-9, 0.25]))
     elif fault == "scale":
-        vec[:] = [x * draw(st.sampled_from([0.5, 1.0 + 1e-9, 2.0])) for x in vec]
+        factor = draw(st.sampled_from([0.5, 1.0 + 1e-9, 2.0]))
+        vec[:] = [x * factor for x in vec]
     return m, lam, mu
 
 
