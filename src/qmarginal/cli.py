@@ -206,7 +206,7 @@ def _cmd_approx(args):
     doc = {
         "rho": fileio.state_to_doc(res.rho),
         "achieved_sigma": fileio.matrix_to_doc(res.achieved_sigma),
-        "residual_spectrum": [float(v) for v in res.residual_spectrum],
+        "residual_spectrum": res.residual_spectrum.tolist(),
         "mu_shift": res.mu_shift,
         "exact": res.exact,
         "norms": {_norm_key(p): v for p, v in res.norms.items()},
@@ -263,8 +263,7 @@ def _cmd_feasible(args):
 
 
 def _cmd_compat(args):
-    lam = fileio.doc_to_spectrum(fileio.load_doc(args.lam))
-    mu = fileio.doc_to_spectrum(fileio.load_doc(args.mu))
+    lam, mu = fileio.load_spectrum(args.lam), fileio.load_spectrum(args.mu)
     m, n = fileio.factor_dims(mu.size, args.m, lam.size)
     if (m, n) == (2, 2):
         mode, rep = "2x2", compat_2x2(lam, mu)
@@ -280,15 +279,13 @@ def _cmd_compat(args):
 
 
 def _cmd_spectra_construct(args):
-    lam = fileio.doc_to_spectrum(fileio.load_doc(args.lam))
-    mu = fileio.doc_to_spectrum(fileio.load_doc(args.mu))
+    lam, mu = fileio.load_spectrum(args.lam), fileio.load_spectrum(args.mu)
     state = construct_with_spectra(lam, mu, args.m)
     return fileio.state_to_doc(state), 0
 
 
 def _cmd_construct23(args):
-    lam = fileio.doc_to_spectrum(fileio.load_doc(args.lam))
-    mu = fileio.doc_to_spectrum(fileio.load_doc(args.mu))
+    lam, mu = fileio.load_spectrum(args.lam), fileio.load_spectrum(args.mu)
     state = construct_23(lam, mu)
     return fileio.state_to_doc(state), 0
 

@@ -164,7 +164,7 @@ def horn_unitary(w, d) -> np.ndarray:
     """
     w = np.asarray(w, dtype=float).reshape(-1)
     d = np.asarray(d, dtype=float).reshape(-1)
-    if not majorizes(d, w).holds:  # DimensionError unless the lengths agree
+    if not majorizes(d, w).holds:  # raises on unequal lengths or non-finite entries
         raise PreconditionError("targets are not majorized by the spectrum")
     nn = w.size
     u = np.eye(nn)

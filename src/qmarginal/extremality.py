@@ -161,6 +161,8 @@ def split_nonextreme(
         raise InvalidCertificateError(
             f"certificate shape {cert.shape} does not match rank {r}"
         )
+    if not np.isfinite(cert).all():
+        raise InvalidCertificateError("certificate has a non-finite entry")
     m, n = state.m, state.n
     # sum_ij H_ij [z_i][z_j]* is the marginal tr_1(z H z*) that H would move;
     # the largest product entry, by Cauchy-Schwarz, sits on some [z_i][z_i]*

@@ -3,13 +3,14 @@
 Matrix documents: {"rows": int, "cols": int, "entries": [[re, im], ...]}
 row-major; bipartite states add {"m": int, "n": int}. Spectra:
 {"values": [real, ...]}. A number is a JSON int or float, never a boolean
-(so types are compared exactly: bool is an int subclass). All floats are
-printed with 17 significant digits so values round-trip exactly.
+(so types are compared exactly: bool is an int subclass). Documents hold
+plain Python values; floats print at 17 significant digits to round-trip.
 """
 
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -18,27 +19,21 @@ from .linalg import BipartiteState, bipartite, validate_density
 
 
 def format_float(x: float) -> str:
-    if np.isnan(x) or np.isinf(x):
+    if not math.isfinite(x):
         raise ValueError(f"cannot serialize non-finite value {x}")
     return format(float(x), ".17g")
 
 
 def dumps(obj) -> str:
-    """JSON text with floats at 17 significant digits."""
+    """JSON text with floats at 17 significant digits; a non-JSON type raises TypeError."""
     if isinstance(obj, dict):
         items = ", ".join(f"{json.dumps(str(k))}: {dumps(v)}" for k, v in obj.items())
         return "{" + items + "}"
     if isinstance(obj, (list, tuple)):
         return "[" + ", ".join(dumps(v) for v in obj) + "]"
-    if isinstance(obj, (bool, np.bool_)):
-        return "true" if obj else "false"
-    if obj is None:
-        return "null"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return format_float(float(obj))
-    if isinstance(obj, str):
+    if isinstance(obj, float):
+        return format_float(obj)
+    if obj is None or isinstance(obj, (bool, int, str)):
         return json.dumps(obj)
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
@@ -50,7 +45,7 @@ def matrix_to_doc(a, m: int | None = None, n: int | None = None) -> dict:
     doc = {
         "rows": a.shape[0],
         "cols": a.shape[1],
-        "entries": [[float(z.real), float(z.imag)] for z in a.reshape(-1)],
+        "entries": np.ascontiguousarray(a).view(float).reshape(-1, 2).tolist(),
     }
     if m is not None:
         doc["m"] = int(m)
@@ -108,7 +103,7 @@ def doc_to_matrix(doc: dict) -> np.ndarray:
 
 
 def spectrum_to_doc(values) -> dict:
-    return {"values": [float(v) for v in np.asarray(values, dtype=float).reshape(-1)]}
+    return {"values": np.asarray(values, dtype=float).reshape(-1).tolist()}
 
 
 def doc_to_spectrum(doc: dict) -> np.ndarray:
@@ -130,6 +125,10 @@ def save_doc(path: str, doc: dict) -> None:
     with open(path, "w") as fh:
         fh.write(dumps(doc))
         fh.write("\n")
+
+
+def load_spectrum(path: str) -> np.ndarray:
+    return doc_to_spectrum(load_doc(path))
 
 
 def load_matrix(path: str) -> tuple[np.ndarray, int | None, int | None]:

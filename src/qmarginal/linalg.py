@@ -45,6 +45,8 @@ def hermiticity_defect(a: np.ndarray) -> float:
 
 
 def assert_hermitian(a: np.ndarray, tol: float = HERMIT_TOL) -> None:
+    if not np.isfinite(a).all():
+        raise ValidationError("not-finite", "matrix has a non-finite entry")
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
         raise DimensionError(f"expected a non-empty square matrix, got shape {a.shape}")
     defect = hermiticity_defect(a)
@@ -186,8 +188,6 @@ def validate_density(
         raise TypeError("pass exactly one of a matrix and factor=")
     if factor is None:
         a = np.asarray(a, dtype=complex)
-        if not np.isfinite(a).all():
-            raise ValidationError("not-finite", "matrix has a non-finite entry")
         w, v = hermitian_eig(a, hermit_tol)
     else:
         z = np.asarray(factor, dtype=complex)

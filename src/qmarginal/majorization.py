@@ -46,23 +46,25 @@ def _slack(xs: list[float], ys: list[float]) -> float:
 
 
 def _descending_pair(x, y) -> tuple[list[float], list[float]]:
-    """x and y as descending lists, after the length checks of the x-precedes-y test."""
+    """x and y as descending lists, after the x-precedes-y test's length and finiteness checks."""
     x = np.asarray(x, dtype=float).reshape(-1)
     y = np.asarray(y, dtype=float).reshape(-1)
     if x.size != y.size:
         raise DimensionError(f"length mismatch {x.size} != {y.size}")
     if x.size == 0:
         raise DimensionError("majorization needs non-empty vectors")
-    # numpy's sort, not sorted(): it puts NaN first in descending order
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise DomainError("majorization needs finite entries")
     return np.sort(x)[::-1].tolist(), np.sort(y)[::-1].tolist()
 
 
 def majorizes(x, y) -> MajorizationReport:
     """Test whether x is majorized by y (prefix sums of x never exceed y's, totals equal).
 
-    Both vectors must have the same length; they are sorted internally, and
-    every comparison is within MAJ_TOL. Prefix sums use compensated
-    summation so the final equality check stays meaningful.
+    Both vectors must have the same length and finite entries (else
+    DomainError); they are sorted internally, and every comparison is
+    within MAJ_TOL. Prefix sums use compensated summation so the final
+    equality check stays meaningful.
     """
     xs, ys = _descending_pair(x, y)
     psx, psy = kernels._running_sums(xs), kernels._running_sums(ys)

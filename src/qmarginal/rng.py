@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import kernels
+from .errors import DimensionError
 
 _MASK64 = (1 << 64) - 1
 
@@ -51,4 +52,6 @@ class PortableRng:
 
     def index(self, bound: int) -> int:
         """Integer in [0, bound) via modulo (bias is irrelevant at these sizes)."""
+        if bound < 1:
+            raise DimensionError(f"bound must be >= 1, got {bound}")
         return int(self.raw(1)[0] % np.uint64(bound))

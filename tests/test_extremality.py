@@ -181,6 +181,14 @@ class TestSplitNonextreme:
         with pytest.raises(qm.InvalidCertificateError):
             qm.split_nonextreme(state, bogus)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_certificate_rejected(self, bad):
+        state = qm.bipartite(np.eye(6) / 6, 2, 3)
+        cert = qm.is_extreme(state).certificate.copy()
+        cert[0, 0] = bad
+        with pytest.raises(qm.InvalidCertificateError, match="non-finite"):
+            qm.split_nonextreme(state, cert)
+
     def test_wrong_shape_rejected(self):
         state = qm.bipartite(np.eye(6) / 6, 2, 3)
         with pytest.raises(qm.InvalidCertificateError):

@@ -46,6 +46,7 @@ def test_seventeen_digit_floats():
     text = fileio.dumps({"v": third})
     assert "0.33333333333333331" in text
     assert json.loads(text)["v"] == third
+    assert fileio.dumps(np.float64(third)) == "0.33333333333333331"  # a float subclass
 
 
 def test_extreme_magnitude_round_trip():
@@ -57,6 +58,36 @@ def test_extreme_magnitude_round_trip():
     vals = np.concatenate([vals, [5e-324, 1e-308, 1.7976931348623157e308, 0.0, -0.0]])
     for v in vals:
         assert json.loads(fileio.dumps({"v": float(v)}))["v"] == float(v)
+
+
+# (re, im) pairs: signed zero, the least subnormal, the largest double and
+# negative imaginary parts
+EDGE_ENTRIES = [
+    [(-0.0, -1.5), (5e-324, 0.0), (1.7976931348623157e308, -2.5e-10)],
+    [(1 / 3, -0.0), (-1e-300, -1.7976931348623157e308), (2.0, -5e-324)],
+]
+
+
+@pytest.mark.parametrize("transpose", [False, True])
+def test_matrix_document_bytes(transpose):
+    rows = [list(r) for r in zip(*EDGE_ENTRIES)] if transpose else EDGE_ENTRIES
+    a = np.array([[complex(re, im) for re, im in r] for r in EDGE_ENTRIES])
+    if transpose:
+        a = a.T
+        assert not a.flags.c_contiguous
+    entries = ", ".join(
+        f"[{format(re, '.17g')}, {format(im, '.17g')}]" for r in rows for re, im in r
+    )
+    want = (f'{{"rows": {len(rows)}, "cols": {len(rows[0])}, "entries": [{entries}], '
+            f'"m": {len(rows)}, "n": {len(rows[0])}}}')
+    assert fileio.dumps(fileio.matrix_to_doc(a, len(rows), len(rows[0]))) == want
+
+
+@pytest.mark.parametrize("value", [np.int64(1), np.bool_(True)])
+def test_numpy_scalars_rejected(value):
+    # documents hold plain Python values; numpy's int and bool are not int subclasses
+    with pytest.raises(TypeError):
+        fileio.dumps({"v": value})
 
 
 def test_entries_length_checked():

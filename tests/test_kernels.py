@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import pytest
 
 import qmarginal as qm
 from qmarginal import kernels
@@ -33,6 +34,14 @@ def test_uniform_range_and_determinism():
     assert u.max() < 1.0
     rng2 = qm.PortableRng(7)
     assert np.array_equal(u, rng2.uniform(10_000))
+
+
+@pytest.mark.parametrize("bound", [0, -3])
+def test_index_rejects_empty_range(bound):
+    rng = qm.PortableRng(7)
+    with pytest.raises(qm.DimensionError):
+        rng.index(bound)
+    assert rng.counter == 0
 
 
 def test_normal_moments():

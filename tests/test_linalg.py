@@ -156,6 +156,14 @@ class TestHermitianEig:
         with pytest.raises(qm.ValidationError):
             qm.hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+    def test_rejects_non_finite(self, bad):
+        a = np.eye(2, dtype=complex)
+        a[0, 0] = bad
+        with pytest.raises(qm.ValidationError) as err:
+            qm.hermitian_eig(a)
+        assert err.value.reason == "not-finite"
+
 
 class TestValidateDensity:
     def test_uniform(self):

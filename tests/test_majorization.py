@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import qmarginal as qm
-from qmarginal.majorization import lp_norm
+from qmarginal.majorization import lp_norm, majorization_slack
 
 from helpers import haar_unitary, random_hermitian, random_prob_vector, t_transform_mix
 
@@ -36,6 +36,14 @@ class TestMajorizes:
     def test_empty_rejected(self):
         with pytest.raises(qm.DimensionError):
             qm.majorizes([], [])
+
+    @pytest.mark.parametrize("bad", [float("nan"), np.inf, -np.inf])
+    @pytest.mark.parametrize("call", [qm.majorizes, majorization_slack, qm.horn_unitary])
+    def test_non_finite_rejected(self, call, bad):
+        # every comparison with NaN is false, so NaN would pass as holding
+        for x, y in (([bad, 0.5], [0.5, 0.5]), ([0.5, 0.5], [bad, 0.5])):
+            with pytest.raises(qm.DomainError, match="finite"):
+                call(x, y)
 
     def test_padding(self):
         with pytest.raises(qm.DimensionError):
@@ -87,6 +95,12 @@ class TestSchattenNorm:
     def test_frobenius(self):
         a = np.diag([0.2, 0.1, -0.15, -0.15])
         assert_allclose(qm.schatten_norm(a, 2), math.sqrt(0.095))
+
+    @pytest.mark.parametrize("bad", [float("nan"), np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(qm.ValidationError) as err:
+            qm.schatten_norm([[bad, 0.0], [0.0, 1.0]], 1)
+        assert err.value.reason == "not-finite"
 
     def test_p_below_one_rejected(self):
         with pytest.raises(qm.DomainError):

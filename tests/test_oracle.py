@@ -123,6 +123,19 @@ def test_search_min_norm_rejects_p_before_sampling(p, monkeypatch):
         qm.search_min_norm(sigma, 2, 1, p, qm.SamplerConfig(seed=1, trials=10))
 
 
+@pytest.mark.parametrize("m, k", [(0, 1), (2, 0), (-1, 1)])
+def test_search_min_norm_rejects_dims(m, k):
+    sigma = qm.random_density(3, 3, seed=2)
+    with pytest.raises(qm.DimensionError):
+        qm.search_min_norm(sigma, m, k, 1.0, qm.SamplerConfig(seed=1, trials=10))
+
+
+@pytest.mark.parametrize("m, n", [(0, 3), (2, 0), (-1, 2)])
+def test_census_rejects_dims(m, n):
+    with pytest.raises(qm.DimensionError):
+        qm.spectra_pair_census(m, n, qm.SamplerConfig(seed=1, trials=10))
+
+
 class TestCompetitorSpectra:
     def test_zero_sum_rows(self):
         sigma = qm.random_density(5, 5, seed=20)
