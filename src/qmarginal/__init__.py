@@ -38,6 +38,7 @@ from .feasibility import (
     extreme_rank_range,
     necessary_spectra_compat,
 )
+from .kernels import PortableRng
 from .linalg import (
     BipartiteState,
     DensityMatrix,
@@ -59,7 +60,6 @@ from .oracle import (
     search_min_norm,
     spectra_pair_census,
 )
-from .rng import PortableRng
 
 __version__ = "0.1.0"
 

@@ -86,30 +86,32 @@ def build_parser() -> _Parser:
     dims.add_argument("--n", type=int)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def add_parser(name, *parents, **kwargs):
-        return sub.add_parser(name, parents=[common, *parents], **kwargs)
+    def add_parser(name, handler, *parents, **kwargs):
+        p = sub.add_parser(name, parents=[common, *parents], **kwargs)
+        p.set_defaults(handler=handler)
+        return p
 
-    p = add_parser("validate", help="check a matrix file is a density matrix")
+    p = add_parser("validate", _cmd_validate, help="check a matrix file is a density matrix")
     p.add_argument("matrix")
     p.add_argument("--hermit-tol", type=_tolerance, default=HERMIT_TOL)
     p.add_argument("--psd-tol", type=_tolerance, default=PSD_TOL)
     p.add_argument("--trace-tol", type=_tolerance, default=TRACE_TOL)
     p.add_argument("--rank-tol-factor", type=_tolerance, default=RANK_TOL_FACTOR)
 
-    p = add_parser("ptrace", dims, help="partial trace of a bipartite state file")
+    p = add_parser("ptrace", _cmd_ptrace, dims, help="partial trace of a bipartite state file")
     p.add_argument("state")
     p.add_argument("--side", choices=["first", "second"], required=True)
 
-    p = add_parser("purify", help="rank-one state with the given first marginal")
+    p = add_parser("purify", _cmd_purify, help="rank-one state with the given first marginal")
     p.add_argument("sigma")
     p.add_argument("--m", type=int, required=True)
 
-    p = add_parser("construct", help="rank-k state with the given first marginal")
+    p = add_parser("construct", _cmd_construct, help="rank-k state with the given first marginal")
     p.add_argument("sigma")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
 
-    p = add_parser("approx", help="optimal rank-constrained marginal approximation")
+    p = add_parser("approx", _cmd_approx, help="optimal rank-constrained marginal approximation")
     p.add_argument("sigma")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
@@ -117,44 +119,45 @@ def build_parser() -> _Parser:
     p.add_argument("--emit-curve", metavar="PATH",
                    help="also write a (k, min-norm) table up to the exact rank")
 
-    p = add_parser("extreme", dims, help="extremality report for a bipartite state")
+    p = add_parser("extreme", _cmd_extreme, dims, help="extremality report for a bipartite state")
     p.add_argument("state")
     p.add_argument("--cert-out", metavar="PATH",
                    help="write the dependency certificate when not extreme")
 
-    p = add_parser("split", dims, help="split a non-extreme state with a rank drop")
+    p = add_parser("split", _cmd_split, dims, help="split a non-extreme state with a rank drop")
     p.add_argument("state")
 
-    p = add_parser("feasible", help="attainable ranks for a marginal of rank r")
+    p = add_parser("feasible", _cmd_feasible, help="attainable ranks for a marginal of rank r")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--extreme", action="store_true")
     p.add_argument("--k", type=int, help="also test one specific rank")
 
-    p = add_parser("compat", help="spectra compatibility (auto-selects the test by dims)")
+    p = add_parser("compat", _cmd_compat,
+                   help="spectra compatibility (auto-selects the test by dims)")
     p.add_argument("lam", metavar="lambda")
     p.add_argument("mu")
     p.add_argument("--m", type=int)
 
-    p = add_parser("spectra-construct",
-                       help="state with prescribed joint and marginal spectra (m >= n)")
+    p = add_parser("spectra-construct", _cmd_spectra_construct,
+                   help="state with prescribed joint and marginal spectra (m >= n)")
     p.add_argument("lam", metavar="lambda")
     p.add_argument("mu")
     p.add_argument("--m", type=int, required=True)
 
-    p = add_parser("construct23",
-                       help="state on a (2,3) system with prescribed spectra pair")
+    p = add_parser("construct23", _cmd_construct23,
+                   help="state on a (2,3) system with prescribed spectra pair")
     p.add_argument("lam", metavar="lambda")
     p.add_argument("mu")
 
-    p = add_parser("sample", help="random states with a prescribed first marginal")
+    p = add_parser("sample", _cmd_sample, help="random states with a prescribed first marginal")
     p.add_argument("sigma")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--seed", type=int)
     p.add_argument("--trials", type=int, default=1)
     p.add_argument("--mix", type=int, default=4)
 
-    add_parser("demo-s5",
+    add_parser("demo-s5", _cmd_demo_s5,
                help="worked answers for the uniform-qutrit marginal on a (2,3) system")
     return parser
 
@@ -316,23 +319,6 @@ def _cmd_demo_s5(args):
     return doc, 0
 
 
-_HANDLERS = {
-    "validate": _cmd_validate,
-    "ptrace": _cmd_ptrace,
-    "purify": _cmd_purify,
-    "construct": _cmd_construct,
-    "approx": _cmd_approx,
-    "extreme": _cmd_extreme,
-    "split": _cmd_split,
-    "feasible": _cmd_feasible,
-    "compat": _cmd_compat,
-    "spectra-construct": _cmd_spectra_construct,
-    "construct23": _cmd_construct23,
-    "sample": _cmd_sample,
-    "demo-s5": _cmd_demo_s5,
-}
-
-
 def _emit_error(kind: str, message: str, **extra) -> None:
     payload = {"error": {"type": kind, "message": message, **extra}}
     print(fileio.dumps(payload), file=sys.stderr)
@@ -341,7 +327,7 @@ def _emit_error(kind: str, message: str, **extra) -> None:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        doc, code = _HANDLERS[args.command](args)
+        doc, code = args.handler(args)
         text = fileio.dumps(doc)
         if args.out:
             with open(args.out, "w") as fh:

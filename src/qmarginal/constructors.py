@@ -23,8 +23,9 @@ from .errors import (
     PreconditionError,
     UnsupportedRegimeError,
 )
-from .feasibility import (_compat_2x3, _positive, _sorted_desc, element_rank_range,
-                          exact_low_rank_exists, extreme_rank_range)
+from .feasibility import (_compat_2x3, _sorted_desc, element_rank_range, exact_low_rank_exists,
+                          extreme_rank_range)
+from .kernels import _positive
 from .linalg import BipartiteState, DensityMatrix, bipartite, partial_trace_first
 from .majorization import MAJ_TOL, lp_norm, majorizes
 

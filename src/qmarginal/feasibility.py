@@ -22,6 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionError, DomainError
+from .kernels import _positive
 from .majorization import MAJ_TOL, _slack
 
 
@@ -56,11 +57,6 @@ class CompatReport:
             if c.name == name:
                 return c
         raise KeyError(name)
-
-
-def _positive(name, value):
-    if value < 1:
-        raise DimensionError(f"{name} must be >= 1, got {value}")
 
 
 def element_rank_range(r: int, m: int) -> RankRange:

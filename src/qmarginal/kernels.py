@@ -1,21 +1,29 @@
-"""Hot numeric kernels: the trial loops that dominate runtime.
+"""Seeded random stream and the hot numeric kernels that draw from it.
 
 Everything here is a pure function of ``(seed, start)`` where ``start`` is
 a counter into the splitmix64 stream, so results are reproducible and
 independent trials are addressable without sequential state. The trial
-kernels are vectorized over batches of trials.
+kernels are vectorized over batches of trials. ``PortableRng`` is a
+sequential facade over the same stream.
 
 Stream layout contracts:
 
 * ``raw_block(seed, start, count)`` - value ``i`` is ``mix64(seed + (start+i+1)*GOLDEN)``.
+* uniform doubles are ``(raw >> 11) * 2**-53``, in [0, 1).
 * ``normal_block`` - normals ``(2t, 2t+1)`` come from one Box-Muller pair
   built on raws ``(start+2t, start+2t+1)``; ``count`` must be even.
+* complex normals are ``(x + iy)/sqrt(2)`` over consecutive normal pairs
+  ``(x, y)``, so complex normal ``j`` uses the raws at ``start + 2j`` and
+  ``start + 2j + 1``.
 * ``residual_spectra`` - trial ``t`` consumes raws
   ``[start + t*2*m*n*k, start + (t+1)*2*m*n*k)``; the Gaussian factor entry
-  ``(i, j)`` uses the normal pair at offset ``2*(i*k + j)``. The reduced
+  ``(i, j)`` is complex normal ``i*k + j`` of the trial. The reduced
   state of each trial is one batched matmul ``h @ h*`` over the factor
   folded to ``h`` of shape ``(n, m*k)``.
-* ``census_spectra`` - same scheme with ``2*(m*n)**2`` raws per trial.
+* ``census_spectra`` - same scheme and the same reduced states with
+  ``k = m*n``, so ``2*(m*n)**2`` raws per trial; the full state is the
+  batched matmul ``g @ g*`` of the factor, and both spectra are taken
+  before normalization and divided by the trace.
 
 Any reimplementation of the mix reproduces the uint64 stream and the
 uniform doubles bit for bit; normals and everything downstream may differ
@@ -26,6 +34,8 @@ order (a few ulps).
 from __future__ import annotations
 
 import numpy as np
+
+from .errors import DimensionError
 
 GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -38,6 +48,11 @@ RESIDUAL_BATCH = 4096
 CENSUS_BATCH = 1024
 
 
+def _positive(name, value):
+    if value < 1:
+        raise DimensionError(f"{name} must be >= 1, got {value}")
+
+
 def raw_block(seed, start, count) -> np.ndarray:
     """splitmix64 outputs for counters start..start+count-1."""
     idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
@@ -47,12 +62,16 @@ def raw_block(seed, start, count) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
+def _uniform(raw) -> np.ndarray:
+    return (raw >> np.uint64(11)).astype(np.float64) * _TWO53_INV
+
+
 def normal_block(seed, start, count) -> np.ndarray:
     if count % 2:
         raise ValueError("normal_block needs an even count")
     raw = raw_block(seed, start, count)
-    u1 = ((raw[0::2] >> np.uint64(11)).astype(np.float64) + 1.0) * _TWO53_INV
-    u2 = (raw[1::2] >> np.uint64(11)).astype(np.float64) * _TWO53_INV
+    u1 = _uniform(raw[0::2]) + _TWO53_INV  # in (0, 1]: the log is finite
+    u2 = _uniform(raw[1::2])
     r = np.sqrt(-2.0 * np.log(u1))
     th = (2.0 * np.pi) * u2
     out = np.empty(count)
@@ -66,51 +85,96 @@ np_raw_block = raw_block
 np_normal_block = normal_block
 
 
-def _ginibre_batch(m, n, k, trials, seed, start):
-    """Batch of (m*n, k) complex Gaussian factors, one per trial."""
+def _complex_normal_block(seed, start, count) -> np.ndarray:
+    """count standard complex Gaussians (variance 1) from raws [start, start + 2*count)."""
+    z = normal_block(seed, start, 2 * count)
+    return (z[0::2] + 1j * z[1::2]) / np.sqrt(2.0)
+
+
+class PortableRng:
+    """Sequential facade over the counter-based stream.
+
+    Instances carry explicit state (seed, counter); one instance is
+    single-threaded, independent instances are safe to use concurrently.
+    """
+
+    def __init__(self, seed: int):
+        self.seed = int(seed) & _MASK64
+        self.counter = 0
+
+    def raw(self, count: int) -> np.ndarray:
+        out = raw_block(self.seed, self.counter, count)
+        self.counter += count
+        return out
+
+    def uniform(self, count: int) -> np.ndarray:
+        """count doubles in [0, 1)."""
+        return _uniform(self.raw(count))
+
+    def standard_normal(self, count: int) -> np.ndarray:
+        used = count + (count % 2)
+        out = normal_block(self.seed, self.counter, used)
+        self.counter += used
+        return out[:count]
+
+    def complex_normal(self, shape) -> np.ndarray:
+        """Standard complex Gaussians (variance 1: (x + iy)/sqrt(2))."""
+        size = int(np.prod(shape))
+        out = _complex_normal_block(self.seed, self.counter, size)
+        self.counter += 2 * size
+        return out.reshape(shape)
+
+    def index(self, bound: int) -> int:
+        """Integer in [0, bound) via modulo (bias is irrelevant at these sizes)."""
+        _positive("bound", bound)
+        return int(self.raw(1)[0] % np.uint64(bound))
+
+
+def _check_trial_dims(m, n, k, trials):
+    """Reject bad dims before the kernel allocates anything."""
+    for name, value in (("m", m), ("n", n), ("k", k)):
+        _positive(name, value)
+    if trials < 0:
+        raise DimensionError(f"trials must be >= 0, got {trials}")
+
+
+def _reduced_batches(m, n, k, trials, seed, start, batch):
+    """Per batch of trials: (slice, Gaussian factors g, tr_1(g g*), tr(g g*)).
+
+    g has shape (c, m*n, k); the reduced states and traces are unnormalized.
+    """
     per = 2 * m * n * k
-    z = normal_block(seed, start, trials * per)
-    z = z.reshape(trials, m * n, k, 2)
-    return (z[..., 0] + 1j * z[..., 1]) / np.sqrt(2.0)
+    for lo in range(0, trials, batch):
+        c = min(batch, trials - lo)
+        g = _complex_normal_block(seed, start + lo * per, c * m * n * k).reshape(c, m * n, k)
+        # tr_1(G G*)[i, j] sums over (a, c) of G[a*n + i, c] conj(G[a*n + j, c])
+        h = g.reshape(c, m, n, k).transpose(0, 2, 1, 3).reshape(c, n, m * k)
+        red = h @ h.conj().transpose(0, 2, 1)
+        yield slice(lo, lo + c), g, red, np.einsum("tii->t", red).real
 
 
 def residual_spectra(sigma, m, n, k, trials, seed, start=0) -> np.ndarray:
     """Descending spectra of sigma - tr1(state) over random rank-<=k states."""
+    _check_trial_dims(m, n, k, trials)
+    if np.shape(sigma) != (n, n):
+        raise DimensionError(f"sigma must have shape ({n}, {n}), got {np.shape(sigma)}")
     sigma = np.ascontiguousarray(sigma, dtype=np.complex128)
-    per = 2 * m * n * k
     out = np.empty((trials, n))
-    done = 0
-    while done < trials:
-        c = min(RESIDUAL_BATCH, trials - done)
-        g = _ginibre_batch(m, n, k, c, seed, start + done * per)
-        # tr_1(G G*)[i, j] sums over (a, c) of G[a*n + i, c] conj(G[a*n + j, c])
-        h = g.reshape(c, m, n, k).transpose(0, 2, 1, 3).reshape(c, n, m * k)
-        red = h @ h.conj().transpose(0, 2, 1)
-        tr = np.einsum("tii->t", red).real
+    for sl, _, red, tr in _reduced_batches(m, n, k, trials, seed, start, RESIDUAL_BATCH):
         a = sigma[None, :, :] - red / tr[:, None, None]
-        w = np.linalg.eigvalsh(a)
-        out[done:done + c] = w[:, ::-1]
-        done += c
+        out[sl] = np.linalg.eigvalsh(a)[:, ::-1]
     return out
 
 
 def census_spectra(m, n, trials, seed, start=0):
     """(marginal spectra, joint spectra) of random full-width Ginibre states."""
-    mn = m * n
-    per = 2 * mn * mn
+    _check_trial_dims(m, n, m * n, trials)
     lam = np.empty((trials, n))
-    mu = np.empty((trials, mn))
-    done = 0
-    while done < trials:
-        c = min(CENSUS_BATCH, trials - done)
-        g = _ginibre_batch(m, n, mn, c, seed, start + done * per)
-        rho = np.einsum("tic,tjc->tij", g, g.conj())
-        tr = np.einsum("tii->t", rho).real
-        rho /= tr[:, None, None]
-        mu[done:done + c] = np.linalg.eigvalsh(rho)[:, ::-1]
-        red = np.einsum("taiaj->tij", rho.reshape(c, m, n, m, n))
-        lam[done:done + c] = np.linalg.eigvalsh(red)[:, ::-1]
-        done += c
+    mu = np.empty((trials, m * n))
+    for sl, g, red, tr in _reduced_batches(m, n, m * n, trials, seed, start, CENSUS_BATCH):
+        rho = g @ g.conj().transpose(0, 2, 1)
+        mu[sl] = np.linalg.eigvalsh(rho)[:, ::-1] / tr[:, None]
+        lam[sl] = np.linalg.eigvalsh(red)[:, ::-1] / tr[:, None]
     return lam, mu
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, InfeasibleError, ValidationError
-from .rng import PortableRng
+from .kernels import PortableRng
 
 HERMIT_TOL = 1e-9
 PSD_TOL = 1e-9

@@ -16,10 +16,10 @@ import numpy as np
 from . import kernels
 from .constructors import _factor, _lifted
 from .errors import DomainError
-from .feasibility import _positive, element_rank_range
+from .feasibility import element_rank_range
+from .kernels import PortableRng
 from .linalg import BipartiteState, DensityMatrix, bipartite
 from .majorization import _lp_power_sums, _lp_root, _require_norm_p
-from .rng import PortableRng
 
 
 @dataclass(frozen=True)
@@ -80,8 +80,6 @@ def search_min_norm(
     value. Each trial's norm is ``lp_norm`` of its residual spectrum; the
     norms of all trials come from one reduction.
     """
-    _positive("m", m)
-    _positive("k", k)
     _require_norm_p(p)  # before any spectra are drawn
     spectra = kernels.residual_spectra(sigma.matrix, m, sigma.dim, k, cfg.trials, cfg.seed)
     # the root is increasing, so it is taken once, of the smallest power sum
@@ -90,7 +88,5 @@ def search_min_norm(
 
 def spectra_pair_census(m: int, n: int, cfg: SamplerConfig) -> list[tuple[np.ndarray, np.ndarray]]:
     """(marginal spectrum, joint spectrum) pairs from random full-width states."""
-    _positive("m", m)
-    _positive("n", n)
     lam, mu = kernels.census_spectra(m, n, cfg.trials, cfg.seed)
     return [(lam[t].copy(), mu[t].copy()) for t in range(cfg.trials)]

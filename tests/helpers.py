@@ -12,6 +12,7 @@ from qmarginal import (
     random_unitary,
     spectra_pair_census,
 )
+from qmarginal import kernels
 
 
 def random_hermitian(dim, rng):
@@ -160,3 +161,30 @@ def ref_compat_2x3(lam, mu):
         ("mu5+mu6 <= lambda3", lam[2] - (mu[4] + mu[5])),
         ("lambda3 <= mu2+mu3", (mu[1] + mu[2]) - lam[2]),
     ]
+
+
+# ---------------------------------------------------------------------------
+# Reference census: the einsum formulation the library had before the census
+# shared the competitor sampler's batched reduction. Same stream layout; the
+# library must match it to rounding.
+# ---------------------------------------------------------------------------
+
+
+def ref_census_spectra(m, n, trials, seed, start=0, batch=1024):
+    mn = m * n
+    per = 2 * mn * mn
+    lam = np.empty((trials, n))
+    mu = np.empty((trials, mn))
+    done = 0
+    while done < trials:
+        c = min(batch, trials - done)
+        z = kernels.normal_block(seed, start + done * per, c * per).reshape(c, mn, mn, 2)
+        g = (z[..., 0] + 1j * z[..., 1]) / np.sqrt(2.0)
+        rho = np.einsum("tic,tjc->tij", g, g.conj())
+        tr = np.einsum("tii->t", rho).real
+        rho /= tr[:, None, None]
+        mu[done:done + c] = np.linalg.eigvalsh(rho)[:, ::-1]
+        red = np.einsum("taiaj->tij", rho.reshape(c, m, n, m, n))
+        lam[done:done + c] = np.linalg.eigvalsh(red)[:, ::-1]
+        done += c
+    return lam, mu

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import qmarginal as qm
+from helpers import ref_census_spectra
 from qmarginal import kernels
 
 # pinned outputs of the documented splitmix64 mix; any implementation of
@@ -63,6 +64,25 @@ def test_rng_counter_advances():
     assert rng.counter == 6
 
 
+def test_rng_draws_are_stream_slices():
+    # each method reads the documented stream at the instance's counter
+    seed = 11
+    rng = qm.PortableRng(seed)
+    raw = kernels.raw_block(seed, 0, 5)
+    assert np.array_equal(rng.uniform(5), (raw >> np.uint64(11)).astype(np.float64) * 2.0 ** -53)
+    assert rng.counter == 5
+    assert np.array_equal(rng.standard_normal(3), kernels.normal_block(seed, 5, 4)[:3])
+    assert rng.counter == 9
+    z = kernels.normal_block(seed, 9, 12)
+    want = ((z[0::2] + 1j * z[1::2]) / np.sqrt(2.0)).reshape(2, 3)
+    got = rng.complex_normal((2, 3))
+    assert got.shape == (2, 3)
+    assert np.array_equal(got, want)
+    assert rng.counter == 21
+    assert rng.index(7) == int(kernels.raw_block(seed, 21, 1)[0] % np.uint64(7))
+    assert rng.counter == 22
+
+
 def test_rng_negative_seed_masked():
     a = qm.PortableRng(-5).raw(3)
     b = qm.PortableRng(-5 & ((1 << 64) - 1)).raw(3)
@@ -97,3 +117,45 @@ def test_census_spectra_counter_addressable():
     lam_tail, mu_tail = kernels.census_spectra(m, n, trials - skip, 32, start=skip * per)
     assert np.array_equal(lam[skip:], lam_tail)
     assert np.array_equal(mu[skip:], mu_tail)
+
+
+SIGMA3 = qm.random_density(3, 3, seed=4).matrix
+
+
+# kernel, args: dims below 1, negative trials and a sigma that is not (n, n)
+BAD_DIMS = {
+    "residual-m0": ("residual_spectra", (SIGMA3, 0, 3, 1, 10, 1)),
+    "residual-k0": ("residual_spectra", (SIGMA3, 2, 3, 0, 10, 1)),
+    "residual-n0": ("residual_spectra", (SIGMA3, 2, 0, 1, 10, 1)),
+    "residual-m-neg": ("residual_spectra", (SIGMA3, -1, 3, 1, 10, 1)),
+    "residual-trials-neg": ("residual_spectra", (SIGMA3, 2, 3, 1, -1, 1)),
+    "residual-sigma-3x3-n2": ("residual_spectra", (SIGMA3, 2, 2, 1, 10, 1)),
+    "residual-sigma-3x3-n4": ("residual_spectra", (SIGMA3, 2, 4, 1, 10, 1)),
+    "residual-sigma-1d": ("residual_spectra", (SIGMA3[0], 2, 3, 1, 10, 1)),
+    "residual-sigma-2x3": ("residual_spectra", (SIGMA3[:2], 2, 3, 1, 10, 1)),
+    "census-m0": ("census_spectra", (0, 3, 10, 1)),
+    "census-n0": ("census_spectra", (2, 0, 10, 1)),
+    "census-m-neg": ("census_spectra", (-1, 2, 10, 1)),
+    "census-trials-neg": ("census_spectra", (2, 3, -1, 1)),
+}
+
+
+@pytest.mark.parametrize("case", BAD_DIMS)
+def test_trial_kernels_reject_dims_before_allocating(case, monkeypatch):
+    def no_alloc(*args, **kwargs):
+        raise AssertionError("allocated before the dims were checked")
+
+    kernel, args = BAD_DIMS[case]
+    monkeypatch.setattr(np, "empty", no_alloc)
+    with pytest.raises(qm.DimensionError):
+        getattr(kernels, kernel)(*args)
+
+
+@pytest.mark.parametrize("m, n, trials", [(2, 2, 200), (2, 3, 200), (3, 2, 200), (2, 4, 200),
+                                          (2, 3, 1030)])
+def test_census_matches_einsum_reference(m, n, trials):
+    # 1030 trials cross the 1024-trial batch boundary
+    lam, mu = kernels.census_spectra(m, n, trials, 55, start=3)
+    ref_lam, ref_mu = ref_census_spectra(m, n, trials, 55, start=3)
+    assert np.abs(lam - ref_lam).max() <= 1e-14
+    assert np.abs(mu - ref_mu).max() <= 1e-14
