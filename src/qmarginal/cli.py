@@ -43,6 +43,7 @@ from .linalg import (
     PSD_TOL,
     RANK_TOL_FACTOR,
     TRACE_TOL,
+    factor_dims,
     partial_trace_first,
     partial_trace_second,
     validate_density,
@@ -78,12 +79,18 @@ def _default_seed() -> int:
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="qmarginal", description=__doc__)
-    common = argparse.ArgumentParser(add_help=False)
+    # argument groups shared by subcommands, each declared once
+    common, state, sigma, rank, spectra = (argparse.ArgumentParser(add_help=False) for _ in range(5))
     common.add_argument("--out", metavar="PATH",
                         help="also write the result document to this file")
-    dims = argparse.ArgumentParser(add_help=False)
-    dims.add_argument("--m", type=int)
-    dims.add_argument("--n", type=int)
+    state.add_argument("state")
+    state.add_argument("--m", type=int)
+    state.add_argument("--n", type=int)
+    sigma.add_argument("sigma")
+    sigma.add_argument("--m", type=int, required=True)
+    rank.add_argument("--k", type=int, required=True)
+    spectra.add_argument("lam", metavar="lambda")
+    spectra.add_argument("mu")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     def add_parser(name, handler, *parents, **kwargs):
@@ -98,34 +105,24 @@ def build_parser() -> _Parser:
     p.add_argument("--trace-tol", type=_tolerance, default=TRACE_TOL)
     p.add_argument("--rank-tol-factor", type=_tolerance, default=RANK_TOL_FACTOR)
 
-    p = add_parser("ptrace", _cmd_ptrace, dims, help="partial trace of a bipartite state file")
-    p.add_argument("state")
+    p = add_parser("ptrace", _cmd_ptrace, state, help="partial trace of a bipartite state file")
     p.add_argument("--side", choices=["first", "second"], required=True)
 
-    p = add_parser("purify", _cmd_purify, help="rank-one state with the given first marginal")
-    p.add_argument("sigma")
-    p.add_argument("--m", type=int, required=True)
+    add_parser("purify", _cmd_purify, sigma, help="rank-one state with the given first marginal")
+    add_parser("construct", _cmd_construct, sigma, rank,
+               help="rank-k state with the given first marginal")
 
-    p = add_parser("construct", _cmd_construct, help="rank-k state with the given first marginal")
-    p.add_argument("sigma")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-
-    p = add_parser("approx", _cmd_approx, help="optimal rank-constrained marginal approximation")
-    p.add_argument("sigma")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    p = add_parser("approx", _cmd_approx, sigma, rank,
+                   help="optimal rank-constrained marginal approximation")
     p.add_argument("--norms", default="1,2,inf")
     p.add_argument("--emit-curve", metavar="PATH",
                    help="also write a (k, min-norm) table up to the exact rank")
 
-    p = add_parser("extreme", _cmd_extreme, dims, help="extremality report for a bipartite state")
-    p.add_argument("state")
+    p = add_parser("extreme", _cmd_extreme, state, help="extremality report for a bipartite state")
     p.add_argument("--cert-out", metavar="PATH",
                    help="write the dependency certificate when not extreme")
 
-    p = add_parser("split", _cmd_split, dims, help="split a non-extreme state with a rank drop")
-    p.add_argument("state")
+    add_parser("split", _cmd_split, state, help="split a non-extreme state with a rank drop")
 
     p = add_parser("feasible", _cmd_feasible, help="attainable ranks for a marginal of rank r")
     p.add_argument("--r", type=int, required=True)
@@ -133,26 +130,18 @@ def build_parser() -> _Parser:
     p.add_argument("--extreme", action="store_true")
     p.add_argument("--k", type=int, help="also test one specific rank")
 
-    p = add_parser("compat", _cmd_compat,
+    p = add_parser("compat", _cmd_compat, spectra,
                    help="spectra compatibility (auto-selects the test by dims)")
-    p.add_argument("lam", metavar="lambda")
-    p.add_argument("mu")
     p.add_argument("--m", type=int)
 
-    p = add_parser("spectra-construct", _cmd_spectra_construct,
+    p = add_parser("spectra-construct", _cmd_spectra_construct, spectra,
                    help="state with prescribed joint and marginal spectra (m >= n)")
-    p.add_argument("lam", metavar="lambda")
-    p.add_argument("mu")
     p.add_argument("--m", type=int, required=True)
 
-    p = add_parser("construct23", _cmd_construct23,
-                   help="state on a (2,3) system with prescribed spectra pair")
-    p.add_argument("lam", metavar="lambda")
-    p.add_argument("mu")
+    add_parser("construct23", _cmd_construct23, spectra,
+               help="state on a (2,3) system with prescribed spectra pair")
 
-    p = add_parser("sample", _cmd_sample, help="random states with a prescribed first marginal")
-    p.add_argument("sigma")
-    p.add_argument("--m", type=int, required=True)
+    p = add_parser("sample", _cmd_sample, sigma, help="random states with a prescribed first marginal")
     p.add_argument("--seed", type=int)
     p.add_argument("--trials", type=int, default=1)
     p.add_argument("--mix", type=int, default=4)
@@ -267,7 +256,7 @@ def _cmd_feasible(args):
 
 def _cmd_compat(args):
     lam, mu = fileio.load_spectrum(args.lam), fileio.load_spectrum(args.mu)
-    m, n = fileio.factor_dims(mu.size, args.m, lam.size)
+    m, n = factor_dims(mu.size, args.m, lam.size)
     if (m, n) == (2, 2):
         mode, rep = "2x2", compat_2x2(lam, mu)
     elif (m, n) == (2, 3):

@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .errors import DimensionError
-from .linalg import BipartiteState, bipartite, validate_density
+from .linalg import BipartiteState, bipartite, factor_dims, validate_density
 
 
 def format_float(x: float) -> str:
@@ -137,20 +137,6 @@ def load_matrix(path: str) -> tuple[np.ndarray, int | None, int | None]:
     m = _count(doc, "m") if "m" in doc else None
     n = _count(doc, "n") if "n" in doc else None
     return mat, m, n
-
-
-def factor_dims(total: int, m: int | None, n: int | None) -> tuple[int, int]:
-    """Factor dims (m, n) of a system of dimension ``total``; a missing one is derived."""
-    if m is None and n is None:
-        raise DimensionError("bipartite input needs factor dims (m, n) in file or flags")
-    if m is None or n is None:
-        name, given = ("m", m) if n is None else ("n", n)
-        if given < 1 or total % given:
-            raise DimensionError(f"{name} = {given} does not divide the matrix dimension {total}")
-        return (given, total // given) if n is None else (total // given, given)
-    if m < 1 or n < 1 or m * n != total:
-        raise DimensionError(f"factor dims m={m}, n={n} do not factor the matrix dimension {total}")
-    return m, n
 
 
 def load_state(path: str, m: int | None = None, n: int | None = None) -> BipartiteState:

@@ -87,8 +87,7 @@ np_normal_block = normal_block
 
 def _complex_normal_block(seed, start, count) -> np.ndarray:
     """count standard complex Gaussians (variance 1) from raws [start, start + 2*count)."""
-    z = normal_block(seed, start, 2 * count)
-    return (z[0::2] + 1j * z[1::2]) / np.sqrt(2.0)
+    return normal_block(seed, start, 2 * count).view(complex) / np.sqrt(2.0)
 
 
 class PortableRng:
@@ -102,27 +101,32 @@ class PortableRng:
         self.seed = int(seed) & _MASK64
         self.counter = 0
 
+    def _advance(self, count: int, multiple: int = 1) -> int:
+        """Start counter of the next ``count`` raws rounded up to ``multiple``; moves past them.
+
+        The only place the counter moves; a negative count raises and leaves it.
+        """
+        if count < 0:
+            raise DimensionError(f"count must be >= 0, got {count}")
+        start = self.counter
+        self.counter += -(-count // multiple) * multiple
+        return start
+
     def raw(self, count: int) -> np.ndarray:
-        out = raw_block(self.seed, self.counter, count)
-        self.counter += count
-        return out
+        return raw_block(self.seed, self._advance(count), count)
 
     def uniform(self, count: int) -> np.ndarray:
         """count doubles in [0, 1)."""
         return _uniform(self.raw(count))
 
     def standard_normal(self, count: int) -> np.ndarray:
-        used = count + (count % 2)
-        out = normal_block(self.seed, self.counter, used)
-        self.counter += used
-        return out[:count]
+        # normals come in Box-Muller pairs: an odd count still uses the pair's second raw
+        return normal_block(self.seed, self._advance(count, 2), count + count % 2)[:count]
 
     def complex_normal(self, shape) -> np.ndarray:
         """Standard complex Gaussians (variance 1: (x + iy)/sqrt(2))."""
         size = int(np.prod(shape))
-        out = _complex_normal_block(self.seed, self.counter, size)
-        self.counter += 2 * size
-        return out.reshape(shape)
+        return _complex_normal_block(self.seed, self._advance(2 * size), size).reshape(shape)
 
     def index(self, bound: int) -> int:
         """Integer in [0, bound) via modulo (bias is irrelevant at these sizes)."""

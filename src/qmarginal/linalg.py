@@ -17,11 +17,12 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, InfeasibleError, ValidationError
+from .errors import DimensionError, DomainError, InfeasibleError, ValidationError
 from .kernels import PortableRng
 
 HERMIT_TOL = 1e-9
@@ -37,6 +38,36 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _check_tolerance(name: str, value: float) -> None:
+    if not 0 <= value < math.inf:  # NaN fails both comparisons
+        raise DomainError(f"{name} must be finite and >= 0, got {value!r}")
+
+
+def factor_dims(total: int, m: int | None, n: int | None) -> tuple[int, int]:
+    """Factor dims (m, n) of a system of dimension ``total``; a missing one is derived.
+
+    The one check of factor dims against a dimension: both are >= 1 and
+    m*n = total.
+    """
+    if m is None and n is None:
+        raise DimensionError("bipartite input needs factor dims (m, n) in file or flags")
+    if m is None or n is None:
+        name, given = ("m", m) if n is None else ("n", n)
+        if given < 1 or total % given:
+            raise DimensionError(f"{name} = {given} does not divide the matrix dimension {total}")
+        return (given, total // given) if n is None else (total // given, given)
+    if m < 1 or n < 1 or m * n != total:
+        raise DimensionError(f"factor dims m={m}, n={n} do not factor the matrix dimension {total}")
+    return m, n
+
+
+def _explicit_dims(total: int, m: int | None, n: int | None) -> tuple[int, int]:
+    """:func:`factor_dims` with both dims given: states and raw matrices derive none."""
+    if m is None or n is None:
+        raise DimensionError(f"explicit factor dims m and n are needed, got m={m}, n={n}")
+    return factor_dims(total, m, n)
+
+
 def hermiticity_defect(a: np.ndarray) -> float:
     """max |A - A*| entry, relative to max(1, max |A|)."""
     a = np.asarray(a)
@@ -45,6 +76,7 @@ def hermiticity_defect(a: np.ndarray) -> float:
 
 
 def assert_hermitian(a: np.ndarray, tol: float = HERMIT_TOL) -> None:
+    _check_tolerance("tol", tol)
     if not np.isfinite(a).all():
         raise ValidationError("not-finite", "matrix has a non-finite entry")
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
@@ -92,12 +124,7 @@ class BipartiteState:
     rho: DensityMatrix
 
     def __post_init__(self):
-        if self.m < 1 or self.n < 1:
-            raise DimensionError(f"factor dims must be >= 1, got m={self.m}, n={self.n}")
-        if self.rho.dim != self.m * self.n:
-            raise DimensionError(
-                f"state dim {self.rho.dim} != m*n = {self.m * self.n}"
-            )
+        _explicit_dims(self.rho.dim, self.m, self.n)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -128,13 +155,9 @@ def _coerce_bipartite(state, m=None, n=None):
     if isinstance(state, BipartiteState):
         return state.matrix, state.m, state.n
     rho = np.asarray(state, dtype=complex)
-    if m is None or n is None:
-        raise DimensionError("raw matrices need explicit factor dims m and n")
-    if m < 1 or n < 1:
-        raise DimensionError(f"factor dims must be >= 1, got m={m}, n={n}")
-    if rho.shape != (m * n, m * n):
-        raise DimensionError(f"shape {rho.shape} incompatible with (m, n) = ({m}, {n})")
-    return rho, m, n
+    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+        raise DimensionError(f"expected a square matrix, got shape {rho.shape}")
+    return (rho, *_explicit_dims(rho.shape[0], m, n))
 
 
 def partial_trace_first(state, m: int | None = None, n: int | None = None) -> np.ndarray:
@@ -186,6 +209,9 @@ def validate_density(
     """
     if (a is None) == (factor is None):
         raise TypeError("pass exactly one of a matrix and factor=")
+    for name, tol in (("hermit_tol", hermit_tol), ("psd_tol", psd_tol),
+                      ("trace_tol", trace_tol), ("rank_tol_factor", rank_tol_factor)):
+        _check_tolerance(name, tol)
     if factor is None:
         a = np.asarray(a, dtype=complex)
         w, v = hermitian_eig(a, hermit_tol)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import qmarginal as qm
-from qmarginal import fileio
+from qmarginal import cli, fileio
 from qmarginal.cli import main
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -170,6 +170,29 @@ def test_purify(tmp_path, capsys):
     assert code == 0
     mat = fileio.doc_to_matrix(out)
     assert np.linalg.matrix_rank(mat, tol=1e-9) == 1
+
+
+def test_ptrace_second_side(tmp_path, capsys):
+    rho = qm.random_density(6, 3, seed=8)
+    path = write(tmp_path, "rho.json", fileio.matrix_to_doc(rho.matrix, m=2, n=3))
+    code, out, err = run_cli(capsys, "ptrace", path, "--side", "second")
+    assert code == 0 and err is None
+    want = qm.partial_trace_second(fileio.load_state(path))
+    assert fileio.doc_to_matrix(out).tobytes() == want.tobytes()
+    assert fileio.doc_to_matrix(out).shape == (2, 2)
+
+
+def test_internal_invariant_is_exit_3(tmp_path, capsys, monkeypatch):
+    def broken(lam, mu):
+        raise qm.InternalInvariantError("no admissible assignment")
+
+    monkeypatch.setattr(cli, "construct_23", broken)
+    lam = write(tmp_path, "lam.json", fileio.spectrum_to_doc([1 / 3, 1 / 3, 1 / 3]))
+    mu = write(tmp_path, "mu.json", fileio.spectrum_to_doc([1 / 3, 1 / 3, 1 / 3, 0, 0, 0]))
+    code, out, err = run_cli(capsys, "construct23", lam, mu)
+    assert code == 3
+    assert out is None
+    assert err == {"error": {"type": "internal-invariant", "message": "no admissible assignment"}}
 
 
 def test_ptrace_rejects_negative_factor_dims(tmp_path, capsys):

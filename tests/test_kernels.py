@@ -83,6 +83,23 @@ def test_rng_draws_are_stream_slices():
     assert rng.counter == 22
 
 
+@pytest.mark.parametrize("draw", [
+    lambda rng: rng.raw(-1),
+    lambda rng: rng.uniform(-3),
+    lambda rng: rng.standard_normal(-3),
+    lambda rng: rng.standard_normal(-1),
+    lambda rng: rng.complex_normal((-1, 2)),
+], ids=["raw", "uniform", "standard_normal", "standard_normal-odd", "complex_normal"])
+def test_rng_rejects_negative_count(draw):
+    # a negative count would move the counter back and replay earlier draws
+    rng = qm.PortableRng(13)
+    first = rng.uniform(5)
+    with pytest.raises(qm.DimensionError, match="count must be >= 0"):
+        draw(rng)
+    assert rng.counter == 5
+    assert np.array_equal(np.concatenate([first, rng.uniform(3)]), qm.PortableRng(13).uniform(8))
+
+
 def test_rng_negative_seed_masked():
     a = qm.PortableRng(-5).raw(3)
     b = qm.PortableRng(-5 & ((1 << 64) - 1)).raw(3)

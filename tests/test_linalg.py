@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import qmarginal as qm
-from qmarginal import linalg
+from qmarginal import fileio, linalg
 from qmarginal.constructors import _factor, _lifted
 
 from helpers import haar_unitary, random_hermitian
@@ -294,6 +294,40 @@ def test_bipartite_factor_dims_must_be_positive():
     # m*n = 4 matches the dimension, so only the sign check catches these dims
     with pytest.raises(qm.DimensionError, match="m=-2, n=-2"):
         qm.bipartite(np.eye(4) / 4, -2, -2)
+
+
+@pytest.mark.parametrize("m, n", [(3, 4), (1, 4), (None, 3), (2, None)])
+def test_bipartite_state_dims_must_factor_the_state(m, n):
+    # both dims are required (none is derived) and m*n must be the dimension 6
+    rho = qm.random_density(6, 2, seed=4)
+    with pytest.raises(qm.DimensionError, match=f"m={m}, n={n}"):
+        qm.BipartiteState(m, n, rho)
+
+
+def test_factor_dims_is_one_rule():
+    assert fileio.factor_dims is linalg.factor_dims
+
+
+@pytest.mark.parametrize("ptrace", [qm.partial_trace_first, qm.partial_trace_second])
+def test_partial_trace_needs_a_square_matrix(ptrace):
+    with pytest.raises(qm.DimensionError, match="square"):
+        ptrace(np.ones((4, 2)) / 4, 2, 2)
+
+
+# each row would be accepted with the tolerance check off: a NaN tolerance
+# makes every comparison false, so the check it guards never fires
+@pytest.mark.parametrize("call, name", [
+    (lambda tol: qm.validate_density([[0.5, 0.3], [0, 0.5]], hermit_tol=tol), "hermit_tol"),
+    (lambda tol: qm.validate_density(np.diag([1.2, -0.2]), psd_tol=tol), "psd_tol"),
+    (lambda tol: qm.validate_density(np.diag([0.7, 0.7]), trace_tol=tol), "trace_tol"),
+    (lambda tol: qm.validate_density(np.eye(2) / 2, rank_tol_factor=tol), "rank_tol_factor"),
+    (lambda tol: qm.hermitian_eig([[0.5, 0.3], [0, 0.5]], tol=tol), "tol"),
+    (lambda tol: linalg.assert_hermitian(np.array([[0.5, 0.3], [0, 0.5]]), tol=tol), "tol"),
+], ids=["hermit_tol", "psd_tol", "trace_tol", "rank_tol_factor", "hermitian_eig", "assert_hermitian"])
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -1e-9])
+def test_tolerances_must_be_finite_and_nonnegative(call, name, tol):
+    with pytest.raises(qm.DomainError, match=f"^{name} must be finite and >= 0"):
+        call(tol)
 
 
 @pytest.mark.parametrize("ptrace", [qm.partial_trace_first, qm.partial_trace_second])
