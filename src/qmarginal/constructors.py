@@ -7,11 +7,14 @@ where it is a sparse exact formula. It is lifted by ``I_m (x) V`` to
 marginal sigma. The state is validated from ``Z`` itself, whose SVD gives
 the spectrum and eigenvectors of rho (see ``linalg.validate_density``).
 The spectra-prescribed construction conjugates its blocks by ``I_m (x) U``
-directly.
+directly. The (2, 3) construction is a direct sum of two singletons and
+two 2x2 gadgets, found by one scan of a constant table of assignments and
+validated once.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -235,34 +238,36 @@ def construct_with_spectra(lam, mu, m: int) -> BipartiteState:
     return bipartite(rho, m, n)
 
 
-# five bracketing intervals for the top marginal eigenvalue, as (pivot, lo, hi)
-# 0-based indices into the descending joint spectrum
-_PROOF_FIRST = ((4, 3, 2), (4, 2, 1), (1, 4, 3), (1, 3, 2), (1, 2, 0))
-# which marginal eigenvalue each gadget serves: the proof intervals target the
-# largest first, but boundary cases pair another one first
-_TARGET_ORDERS = ((0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1))
+# (e, f, p, q, r, s, x, z): mu entries e and f on the singleton slots 0 and 5,
+# the gadget {mu_p, mu_q} on slots (1, 3), the gadget {mu_r, mu_s} on slots
+# (2, 4), and lambda entries x and z on marginal slots 0 and 2; indices are
+# 0-based into the descending spectra, with p < q and r < s. Small lambda and
+# mu entries on slot 0 come first, which ends the scan of a census pair after
+# about 8 entries on average.
+_ASSIGNMENTS_23 = tuple(
+    (e, f, p, q, r, s, x, z)
+    for x, _, z in itertools.permutations((2, 1, 0))
+    for e in range(5, -1, -1)
+    for f, p, q, r, s in itertools.permutations([i for i in range(6) if i != e])
+    if p < q and r < s
+)
 
 
 def construct_23(lam, mu) -> BipartiteState:
     """State on a (2, 3) system with joint spectrum mu and marginal spectrum lam.
 
-    Feasible exactly when ``compat_2x3`` holds. The state is assembled from
-    two 2x2 gadgets coupling entries (1, 3) and (2, 4) across the blocks
-    plus two uncoupled diagonal entries. Candidate index assignments are
-    generated lazily in a deterministic order: the five bracketing
-    intervals for the top marginal eigenvalue first, then an exhaustive
-    sweep. Both couplings lie off the diagonal blocks, so the marginal of a
-    candidate with diagonal d is exactly diag(d0+d3, d1+d4, d2+d5); a
-    candidate whose sorted sums miss lam by more than MARGINAL_TOL is
-    dropped before any matrix is built. The first one that passes is
-    validated by ``bipartite``, and its spectrum from that one
-    eigendecomposition must lie within SPECTRUM_TOL of mu.
-
-    ``compat_2x3`` accepts pairs whose inequalities fail by up to MAJ_TOL,
-    where a clamped gadget misses lam by the whole marginal tolerance. If
-    no candidate passes, the search is run once more on mu moved onto the
-    exact feasible set (see ``_feasible_mu``), a shift of a few MAJ_TOL
-    that the spectrum tolerance absorbs.
+    Feasible exactly when ``compat_2x3`` holds. The state is a direct sum
+    of two singleton entries (slots 0 and 5) and two 2x2 gadgets coupling
+    slots (1, 3) and (2, 4). Both couplings lie off the diagonal blocks, so
+    the marginal of diagonal d is exactly diag(d0+d3, d1+d4, d2+d5). mu is
+    first moved onto the exact feasible set (``_feasible_mu``, a shift of
+    a few MAJ_TOL at most, with the sum matched to lam's). For each entry
+    of ``_ASSIGNMENTS_23`` the marginal then fixes d3 and d2 in closed
+    form; the first entry that puts both inside their gadget's eigenvalue
+    range is taken, or else the one that misses by least, clamped. That one
+    candidate is validated by ``bipartite``: its marginal must lie within
+    MARGINAL_TOL of lam and its spectrum, from that one
+    eigendecomposition, within SPECTRUM_TOL of mu.
     """
     lam = _sorted_desc(lam, "lambda", length=3)
     mu = _sorted_desc(mu, "mu", length=6)
@@ -270,68 +275,32 @@ def construct_23(lam, mu) -> BipartiteState:
     if not report.holds:
         failed = [c.name for c in report.checks if not c.passed]
         raise InfeasibleError(f"spectra incompatible for a (2,3) system: {failed}")
-    state = _search_23(lam, mu, mu)
-    if state is None:
-        state = _search_23(lam, _feasible_mu(lam, mu), mu)
-    if state is None:
+    nu = _feasible_mu(lam, mu)
+    least = math.inf
+    for entry in _ASSIGNMENTS_23:
+        e, f, p, q, r, s, x, z = entry
+        d3, d2 = lam[x] - nu[e], lam[z] - nu[f]
+        miss = max(nu[q] - d3, d3 - nu[p], 0.0) + max(nu[s] - d2, d2 - nu[r], 0.0)
+        if miss < least:
+            least, pick = miss, entry
+            if miss == 0.0:
+                break
+    e, f, p, q, r, s, x, z = pick
+    d3 = min(max(lam[x] - nu[e], nu[q]), nu[p])
+    d2 = min(max(lam[z] - nu[f], nu[s]), nu[r])
+    d = (nu[e], nu[p] + nu[q] - d3, d2, d3, nu[r] + nu[s] - d2, nu[f])
+    a = _gadget_offdiag(d[1], d3, nu[p], nu[q])
+    b = _gadget_offdiag(d2, d[4], nu[r], nu[s])
+    state = bipartite(_assemble_23(d, a, b), 2, 3)
+    marginal = sorted((d[0] + d[3], d[1] + d[4], d[2] + d[5]), reverse=True)
+    marginal_err = max(abs(got - want) for got, want in zip(marginal, lam))
+    spectrum_err = max(abs(got - want) for got, want in zip(state.rho.eigenvalues.tolist(), mu))
+    if marginal_err > MARGINAL_TOL or spectrum_err > SPECTRUM_TOL:
         raise InternalInvariantError(
-            "no admissible gadget assignment found for a compatible pair; "
-            f"lam={lam} mu={mu}"
+            f"(2,3) witness misses its spectra (marginal by {marginal_err:.3e}, "
+            f"spectrum by {spectrum_err:.3e}); lam={lam} mu={mu}"
         )
     return state
-
-
-def _search_23(lam, build_mu, mu) -> BipartiteState | None:
-    """The first candidate from build_mu with marginal spectrum lam and spectrum mu."""
-    for d, a, b in _candidates_23(lam, build_mu):
-        marginal = sorted((d[0] + d[3], d[1] + d[4], d[2] + d[5]), reverse=True)
-        if max(abs(x - y) for x, y in zip(marginal, lam)) > MARGINAL_TOL:
-            continue
-        state = bipartite(_assemble_23(d, a, b), 2, 3)
-        got = state.rho.eigenvalues.tolist()
-        if max(abs(x - y) for x, y in zip(got, mu)) <= SPECTRUM_TOL:
-            return state
-    return None
-
-
-def _first_gadgets(mu):
-    """(pivot, lo, hi) of the first gadget: the proof intervals, then every other."""
-    yield from _PROOF_FIRST
-    for hi in range(6):
-        for lo in range(6):
-            if lo == hi or mu[lo] > mu[hi]:
-                continue
-            for p in range(6):
-                if p not in (lo, hi) and (p, lo, hi) not in _PROOF_FIRST:
-                    yield p, lo, hi
-
-
-def _candidates_23(lam, mu):
-    """(diagonal, coupling (1, 3), coupling (2, 4)) of each gadget assignment, in search order.
-
-    lam and mu are descending lists of floats.
-    """
-    tol = MAJ_TOL
-    for t1, t2 in _TARGET_ORDERS:
-        target = lam[t2]
-        for p1, lo1, hi1 in _first_gadgets(mu):
-            if not (mu[p1] + mu[lo1] - tol <= lam[t1] <= mu[p1] + mu[hi1] + tol):
-                continue
-            hat_lo1 = min(max(lam[t1] - mu[p1], mu[lo1]), mu[hi1])
-            hat_hi1 = mu[lo1] + mu[hi1] - hat_lo1
-            a = _gadget_offdiag(hat_lo1, hat_hi1, mu[lo1], mu[hi1])
-            x, y, z = (i for i in range(6) if i not in (p1, lo1, hi1))  # descending mu
-            for single, lo2, hi2 in ((x, z, y), (y, z, x), (z, y, x)):
-                # the second pivot is the uncoupled entry, or the displaced
-                # half of the first gadget
-                for pivot, displaced in ((mu[single], False), (hat_hi1, True)):
-                    if not (pivot + mu[lo2] - tol <= target <= pivot + mu[hi2] + tol):
-                        continue
-                    hat_lo2 = min(max(target - pivot, mu[lo2]), mu[hi2])
-                    hat_hi2 = mu[lo2] + mu[hi2] - hat_lo2
-                    g2a, g2b = (hat_hi2, hat_lo2) if displaced else (hat_lo2, hat_hi2)
-                    d = (mu[p1], hat_hi1, g2a, hat_lo1, g2b, mu[single])
-                    yield d, a, _gadget_offdiag(hat_lo2, hat_hi2, mu[lo2], mu[hi2])
 
 
 def _feasible_mu(lam, mu) -> list[float]:
@@ -364,7 +333,7 @@ def _gadget_offdiag(hat_a, hat_b, mu_a, mu_b) -> float:
     """Off-diagonal x of the gadget [[hat_a, x], [x, hat_b]] with eigenvalues {mu_a, mu_b}.
 
     Exact when hat_a + hat_b = mu_a + mu_b and both hats lie between mu_a and
-    mu_b; a hat outside that range, possible within MAJ_TOL, clamps x to 0.
+    mu_b; a hat outside that range, by roundoff, clamps x to 0.
     """
     return math.sqrt(max(hat_a * hat_b - mu_a * mu_b, 0.0))
 

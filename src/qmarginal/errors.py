@@ -38,4 +38,4 @@ class InvalidCertificateError(ValueError):
 
 
 class InternalInvariantError(RuntimeError):
-    """A construction the theory guarantees to succeed found no admissible assignment."""
+    """A construction the theory guarantees to succeed failed its own validation."""

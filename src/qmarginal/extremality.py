@@ -154,7 +154,10 @@ def split_nonextreme(
     or a half's trace by more than TRACE_TOL, is rejected before either half
     is built.
     """
-    cert = np.asarray(certificate, dtype=complex)
+    try:
+        cert = np.asarray(certificate, dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise InvalidCertificateError(f"certificate is not a complex array: {exc}") from None
     z = _scaled_factors(state)
     r = z.shape[1]
     if cert.shape != (r, r):

@@ -125,7 +125,10 @@ class PortableRng:
 
     def complex_normal(self, shape) -> np.ndarray:
         """Standard complex Gaussians (variance 1: (x + iy)/sqrt(2))."""
-        size = int(np.prod(shape))
+        dims = np.atleast_1d(shape)
+        if (dims < 0).any():
+            raise DimensionError(f"count must be >= 0 along every axis, got shape {shape}")
+        size = int(np.prod(dims))
         return _complex_normal_block(self.seed, self._advance(2 * size), size).reshape(shape)
 
     def index(self, bound: int) -> int:

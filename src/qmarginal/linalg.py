@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, DomainError, InfeasibleError, ValidationError
-from .kernels import PortableRng
+from .kernels import PortableRng, _positive
 
 HERMIT_TOL = 1e-9
 PSD_TOL = 1e-9
@@ -255,6 +255,7 @@ def bipartite(a, m: int, n: int, *, factor=None) -> BipartiteState:
 
 def random_density(d: int, rank: int, seed: int) -> DensityMatrix:
     """Seeded random density matrix of the requested rank: G G* / tr(G G*)."""
+    _positive("d", d)
     if not 1 <= rank <= d:
         raise InfeasibleError(f"rank must lie in [1, {d}], got {rank}")
     g = PortableRng(seed).complex_normal((d, rank))

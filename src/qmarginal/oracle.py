@@ -37,6 +37,7 @@ class SamplerConfig:
 
 def random_unitary(dim: int, rng: PortableRng) -> np.ndarray:
     """Haar-ish unitary: QR of a complex Gaussian with phase-fixed R diagonal."""
+    kernels._positive("dim", dim)
     g = rng.complex_normal((dim, dim))
     q, r = np.linalg.qr(g)
     d = np.diagonal(r)

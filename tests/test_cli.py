@@ -195,6 +195,25 @@ def test_internal_invariant_is_exit_3(tmp_path, capsys, monkeypatch):
     assert err == {"error": {"type": "internal-invariant", "message": "no admissible assignment"}}
 
 
+def test_construct23_failed_validation_is_exit_3(tmp_path, capsys, monkeypatch):
+    # the real check in construct_23 rejects a candidate whose spectrum is
+    # moved by mixing in I/2 (x) tr_1(a), with its marginal and trace kept
+    real = qm.constructors.bipartite
+
+    def corrupt(a, m, n):
+        a = 0.999 * a + 0.001 * np.kron(np.eye(2) / 2, np.einsum("aiaj->ij", a.reshape(2, 3, 2, 3)))
+        return real(a, m, n)
+
+    monkeypatch.setattr(qm.constructors, "bipartite", corrupt)
+    lam = write(tmp_path, "lam.json", fileio.spectrum_to_doc([1 / 3, 1 / 3, 1 / 3]))
+    mu = write(tmp_path, "mu.json", fileio.spectrum_to_doc([1 / 3, 1 / 3, 1 / 3, 0, 0, 0]))
+    code, out, err = run_cli(capsys, "construct23", lam, mu)
+    assert code == 3
+    assert out is None
+    assert err["error"]["type"] == "internal-invariant"
+    assert "witness misses its spectra" in err["error"]["message"]
+
+
 def test_ptrace_rejects_negative_factor_dims(tmp_path, capsys):
     path = write(tmp_path, "i4.json", fileio.matrix_to_doc(np.eye(4) / 4))
     code, out, err = run_cli(capsys, "ptrace", path, "--side", "first", "--m", "-2", "--n", "-2")

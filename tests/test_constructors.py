@@ -325,39 +325,53 @@ class TestConstruct23:
         second = qm.partial_trace_second(state)
         assert_allclose(np.linalg.eigvalsh(second)[::-1], [0.5, 0.5], atol=1e-8)
 
-    # inequalities by hand: 0.1 <= 0.5 <= 0.7 and 0.0 <= 0.2 <= 0.5. In the
-    # documented order, target order (0, 1) and the fourth proof interval
-    # (pivot mu2, gadget {mu4, mu3}) place lambda1 = 0.3 + 0.2; the first
-    # second-stage option (single mu1, gadget {mu6, mu1}) misses lambda2,
-    # and the second (single mu5 = 0, gadget {mu6, mu1}) gives the diagonal
-    # below, whose marginal diagonal (0.5, 0.2, 0.3) is lam out of order.
+    # derived by hand from the first table entry, which is admissible: lambda3
+    # on marginal slot 0 and lambda1 on slot 2, mu6 and mu1 on the singleton
+    # slots 0 and 5, gadgets {mu2, mu3} on slots (1, 3) and {mu4, mu5} on
+    # (2, 4). Then d3 = lambda3 - mu6 = 0.2 lies in [mu3, mu2] = [0.2, 0.3]
+    # and d2 = lambda1 - mu1 = 0.1 in [mu5, mu4] = [0, 0.1] (nu1 carries the
+    # 2-ulp sum gap, which moves d2 by 1.3e-16, still inside). The trace of
+    # each gadget gives d1 = 0.3 + 0.2 - 0.2 and d4 = 0.1 + 0 - 0.1; both
+    # gadgets sit at an end of their range, so both couplings vanish up to
+    # roundoff, and the marginal diagonal (0 + 0.2, 0.3 + 0, 0.1 + 0.4) is
+    # lam in reverse order.
     HAND_LAM = [0.5, 0.3, 0.2]
     HAND_MU = [0.4, 0.3, 0.2, 0.1, 0.0, 0.0]
-    HAND_DIAG = [0.3, 0.1, 0.3, 0.2, 0.1, 0.0]
+    HAND_DIAG = [0.0, 0.3, 0.1, 0.2, 0.0, 0.4]
 
     def test_hand_checked_pair(self, eig_calls):
         state = built_23(self.HAND_LAM, self.HAND_MU, eig_calls)
         assert_allclose(np.diagonal(state.matrix).real, self.HAND_DIAG, atol=1e-15)
+        assert_allclose(state.matrix[[1, 2], [3, 4]], 0.0, atol=1e-8)
 
     def test_spectrum_checked_from_validation(self, monkeypatch):
-        # a first validated candidate whose spectrum is off (its marginal and
-        # trace untouched) is rejected, and the next one in order is returned
+        # the one validated candidate is corrupted by mixing in the product
+        # state I/2 (x) tr_1(a), which keeps its marginal, trace and positivity
+        # but moves its spectrum: no other candidate is tried
         real = qm.constructors.bipartite
         seen = []
 
-        def corrupt_first(a, m, n):
-            if not seen:
-                a = a.copy()
-                a[0, 0] += 1e-6
-                a[3, 3] -= 1e-6
+        def corrupt(a, m, n):
+            a = 0.999 * a + 0.001 * np.kron(np.eye(2) / 2, np.einsum("aiaj->ij", a.reshape(2, 3, 2, 3)))
             seen.append(a)
             return real(a, m, n)
 
-        monkeypatch.setattr(qm.constructors, "bipartite", corrupt_first)
-        state = qm.construct_23(self.HAND_LAM, self.HAND_MU)
-        assert len(seen) == 2
-        assert np.abs(np.linalg.eigvalsh(state.matrix)[::-1] - self.HAND_MU).max() <= 1e-8
-        assert_allclose(np.diagonal(state.matrix).real, [0.3, 0.1, 0.2, 0.2, 0.2, 0.0], atol=1e-15)
+        monkeypatch.setattr(qm.constructors, "bipartite", corrupt)
+        with pytest.raises(qm.InternalInvariantError, match="witness misses its spectra"):
+            qm.construct_23(self.HAND_LAM, self.HAND_MU)
+        assert len(seen) == 1
+
+    def test_marginal_checked_after_clamp(self, monkeypatch):
+        # lambda1 = mu1 + mu2 is tight; a nu 1e-9 off the feasible set (but
+        # within the spectrum tolerance of mu) leaves no admissible entry, and
+        # the clamped one misses lambda by 1e-9
+        lam = [0.6, 0.25, 0.15]
+        mu = [0.35, 0.25, 0.15, 0.1, 0.1, 0.05]
+        assert qm.compat_2x3(lam, mu).holds
+        monkeypatch.setattr(qm.constructors, "_feasible_mu",
+                            lambda lam, mu: [mu[0] - 1e-9, *mu[1:5], mu[5] + 1e-9])
+        with pytest.raises(qm.InternalInvariantError, match="marginal by 1.000e-09"):
+            qm.construct_23(lam, mu)
 
     def test_infeasible_pair_rejected(self):
         with pytest.raises(qm.InfeasibleError):

@@ -189,6 +189,11 @@ class TestSplitNonextreme:
         with pytest.raises(qm.InvalidCertificateError, match="non-finite"):
             qm.split_nonextreme(state, cert)
 
+    def test_non_numeric_certificate_rejected(self):
+        state = qm.bipartite(np.eye(6) / 6, 2, 3)
+        with pytest.raises(qm.InvalidCertificateError, match="not a complex array"):
+            qm.split_nonextreme(state, "abc")
+
     def test_wrong_shape_rejected(self):
         state = qm.bipartite(np.eye(6) / 6, 2, 3)
         with pytest.raises(qm.InvalidCertificateError):

@@ -89,7 +89,9 @@ def test_rng_draws_are_stream_slices():
     lambda rng: rng.standard_normal(-3),
     lambda rng: rng.standard_normal(-1),
     lambda rng: rng.complex_normal((-1, 2)),
-], ids=["raw", "uniform", "standard_normal", "standard_normal-odd", "complex_normal"])
+    lambda rng: rng.complex_normal((-1, -2)),  # size 2: each dim is checked
+], ids=["raw", "uniform", "standard_normal", "standard_normal-odd", "complex_normal",
+        "complex_normal-positive-size"])
 def test_rng_rejects_negative_count(draw):
     # a negative count would move the counter back and replay earlier draws
     rng = qm.PortableRng(13)

@@ -6,6 +6,16 @@ from qmarginal import kernels
 from qmarginal.majorization import lp_norm
 
 
+@pytest.mark.parametrize("dim", [0, -2])
+@pytest.mark.parametrize("sample", [
+    lambda dim: qm.random_density(dim, 1, 3),
+    lambda dim: qm.random_unitary(dim, qm.PortableRng(3)),
+], ids=["random_density", "random_unitary"])
+def test_samplers_reject_dims_below_one(sample, dim):
+    with pytest.raises(qm.DimensionError, match=f"must be >= 1, got {dim}"):
+        sample(dim)
+
+
 class TestRandomStateWithMarginal:
     def test_membership_and_determinism(self):
         sigma = qm.random_density(3, 3, seed=14)
