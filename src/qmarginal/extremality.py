@@ -15,16 +15,18 @@ map C -> sum C_ij P_ij commutes with C -> C*, so the family is independent
 exactly when it is independent on Hermitian coefficients. The Gram is
 therefore taken over an orthonormal real basis of the Hermitian r x r
 matrices; it is real symmetric and has the complex Gram's spectrum. The
-verdict comes from its eigenvalues alone. Only a dependent family pays for
-eigenvectors: the null vector H' over V maps to H = H' / (sqrt(lambda_i)
-sqrt(lambda_j)) over Z, a Hermitian dependency certificate from which a
-proper convex splitting is built. When r > n, any n + 1 factors give
-(n+1)^2 > n^2 products, so the same test runs on the first n + 1 factors
-and its certificate is zero-padded to r x r.
+verdict comes from its eigenvalues alone. A dependent family takes no second
+decomposition: its smallest eigenvalue is known, so two solves with the Gram
+shifted just below it (inverse iteration) give a null vector H' over V. H'
+maps to H = H' / (sqrt(lambda_i) sqrt(lambda_j)) over Z, a Hermitian
+dependency certificate from which a proper convex splitting is built. When
+r > n, any n + 1 factors give (n+1)^2 > n^2 products, so the same test runs
+on the first n + 1 factors and its certificate is zero-padded to r x r.
 
 A certificate is checked by the marginal it would move: sum_ij H_ij
-[z_i][z_j]* is tr_1(Z H Z*), whose n x n entries are compared with the
-largest product entry, max_{p,i} sum_a |z_i[a n + p]|^2 by Cauchy-Schwarz.
+[z_i][z_j]* is tr_1(Z H Z*) = sum_a Z_a H Z_a* over the n x r blocks Z_a of
+Z, whose n x n entries are compared with the largest product entry,
+max_{p,i} sum_a |z_i[a n + p]|^2 by Cauchy-Schwarz.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import numpy as np
 
 from .constructors import MARGINAL_TOL
 from .errors import InvalidCertificateError
-from .linalg import TRACE_TOL, BipartiteState, bipartite, partial_trace_first
+from .linalg import TRACE_TOL, BipartiteState, bipartite
 
 INDEP_TOL = 1e-8
 MARGINAL_INDEP_TOL = 1e-6
@@ -43,6 +45,9 @@ CERT_RESIDUAL_TOL = 1e-7
 # total weight of the smallest eigenvalues a split may leave out of both halves:
 # the roundoff of a state validated from its matrix, not its spectrum
 ROUNDOFF_TAIL = 1e-2 * MARGINAL_TOL
+# the certificate's inverse iteration shifts the Gram so that its smallest
+# eigenvalue sits this fraction of its largest above zero
+INVERSE_SHIFT = 1e-12
 
 
 @dataclass(frozen=True)
@@ -125,9 +130,18 @@ def is_extreme(state: BipartiteState) -> ExtremalityReport:
     marginal = extreme != (gram_min > MARGINAL_INDEP_TOL * gram_max)
     if extreme:
         return ExtremalityReport(True, r, gram_min, None, marginal)
+    # inverse iteration with the spectrum shifted to start at d = INVERSE_SHIFT
+    # gram_max: each solve damps an eigenvector of w_i against one of w_0 by
+    # d / (w_i - w_0 + d), and the error of the near-singular solve lies along
+    # the wanted direction. cos(0), cos(1), ... satisfy no linear relation with
+    # rational coefficients, the kind a structured null space has
+    gram.flat[:: gram.shape[0] + 1] -= w[0] - INVERSE_SHIFT * gram_max
+    null = np.cos(np.arange(gram.shape[0]))
+    for _ in range(2):
+        null = np.linalg.solve(gram, null)
+        null /= np.linalg.norm(null)
     # the null vector's coordinates in the Hermitian basis give the dependency
     # over the eigenvectors; dividing by sqrt(lambda_i lambda_j) moves it to z
-    null = np.linalg.eigh(gram)[1][:, 0]
     p = iu.size
     coef = null[:p].astype(complex)
     coef[head:] = (coef[head:] + 1j * null[p:]) * np.sqrt(0.5)
@@ -150,9 +164,9 @@ def split_nonextreme(
     side has an exact zero column; T = V sqrt(lambda) over the positive
     eigenvalues under the rank cutoff, so the halves average to the state,
     except for the smallest ones whose sum stays under ROUNDOFF_TAIL. A
-    certificate whose step would move the marginal by more than MARGINAL_TOL,
-    or a half's trace by more than TRACE_TOL, is rejected before either half
-    is built.
+    certificate whose step is not finite (a zero or subnormal one), or would
+    move the marginal by more than MARGINAL_TOL or a half's trace by more
+    than TRACE_TOL, is rejected before either half is built.
     """
     try:
         cert = np.asarray(certificate, dtype=complex)
@@ -167,11 +181,13 @@ def split_nonextreme(
     if not np.isfinite(cert).all():
         raise InvalidCertificateError("certificate has a non-finite entry")
     m, n = state.m, state.n
-    # sum_ij H_ij [z_i][z_j]* is the marginal tr_1(z H z*) that H would move;
-    # the largest product entry, by Cauchy-Schwarz, sits on some [z_i][z_i]*
-    moved = partial_trace_first(z @ cert @ z.conj().T, m, n)
+    # sum_ij H_ij [z_i][z_j]* is the marginal tr_1(z H z*) = sum_a z_a H z_a*
+    # that H would move, over the n x r blocks z_a of z; the largest product
+    # entry, by Cauchy-Schwarz, sits on some [z_i][z_i]*
+    za = z.reshape(m, n, r)
+    moved = (za @ cert @ za.conj().transpose(0, 2, 1)).sum(axis=0)
     residual = float(np.abs(moved).max())
-    largest = float((np.abs(z) ** 2).reshape(m, n, r).sum(axis=0).max())
+    largest = float((np.abs(za) ** 2).sum(axis=0).max())
     scale = float(np.abs(cert).max()) * largest + 1e-300
     if residual > CERT_RESIDUAL_TOL * scale:
         raise InvalidCertificateError(
@@ -179,7 +195,12 @@ def split_nonextreme(
         )
     eta, q = np.linalg.eigh((cert + cert.conj().T) / 2.0)
     extreme_eig = eta[-1] if abs(eta[-1]) >= abs(eta[0]) else eta[0]
-    step = 1.0 / abs(extreme_eig)
+    with np.errstate(divide="ignore", over="ignore"):
+        step = 1.0 / abs(extreme_eig)
+    if not np.isfinite(step):
+        raise InvalidCertificateError(
+            f"certificate step 1/max|eig| is not finite (max|eig| {abs(extreme_eig):.3e})"
+        )
     if residual * step > MARGINAL_TOL:
         raise InvalidCertificateError(
             f"certificate step moves the marginal by {residual * step:.3e}, "

@@ -78,6 +78,17 @@ class TestIsExtreme:
             if rep.is_extreme:
                 assert rep.rank <= min(sigma.rank, state.n)
 
+    @pytest.mark.parametrize("build, extreme", [
+        (qm.construct_rank_k, True), (qm.nonextreme_of_rank_k, False),
+    ], ids=["extreme", "nonextreme"])
+    def test_one_eigensolver_call(self, build, extreme, eig_calls):
+        # the certificate comes from linear solves on the shifted Gram, not
+        # from a second decomposition
+        state = build(qm.random_density(8, 8, seed=64), 2, 5)
+        del eig_calls[:]
+        assert qm.is_extreme(state).is_extreme is extreme
+        assert eig_calls == ["eigvalsh"]
+
     def test_refactorization_invariance(self):
         state = qm.construct_rank_k(qm.random_density(4, 4, seed=62), 2, 3)
         z = _scaled_factors(state)
@@ -187,6 +198,14 @@ class TestSplitNonextreme:
         cert = qm.is_extreme(state).certificate.copy()
         cert[0, 0] = bad
         with pytest.raises(qm.InvalidCertificateError, match="non-finite"):
+            qm.split_nonextreme(state, cert)
+
+    @pytest.mark.parametrize("scale", [0.0, 1e-310], ids=["zero", "subnormal"])
+    def test_certificate_without_finite_step_rejected(self, scale):
+        # the step 1/max|eig| of a zero or subnormal certificate is not finite
+        state = qm.bipartite(np.eye(6) / 6, 2, 3)
+        cert = scale * qm.is_extreme(state).certificate
+        with pytest.raises(qm.InvalidCertificateError, match="not finite"):
             qm.split_nonextreme(state, cert)
 
     def test_non_numeric_certificate_rejected(self):
@@ -344,6 +363,38 @@ def test_verdict_ignores_spectrum_spread(state):
     assert rep.certificate is None
 
 
+@pytest.mark.parametrize("state", [
+    # multi-dimensional null spaces
+    qm.bipartite(np.eye(6) / 6, 2, 3),
+    qm.bipartite(np.eye(8) / 8, 2, 4),
+    qm.bipartite(np.eye(12) / 12, 3, 4),
+    qm.construct_rank_k(qm.random_density(3, 3, seed=80), 2, 5),
+    rotated_member(3, 3, 3, 9, 81),
+    # diagonal sigma, whose eigenvectors are the columns of the identity
+    qm.nonextreme_of_rank_k(diag_sigma([4, 3, 2, 1]), 2, 3),
+    qm.nonextreme_of_rank_k(diag_sigma([1, 1, 1]), 3, 2),
+    qm.construct_rank_k(diag_sigma([1, 1, 1]), 2, 4),
+    qm.nonextreme_of_rank_k(qm.random_density(32, 32, seed=5), 2, 17),
+], ids=["I/6-2x3", "I/8-2x4", "I/12-3x4", "2x3-rank5", "3x3-rank9-rotated",
+        "diag-2x4-rank3", "diag-3x3-rank2", "diag-2x3-rank4", "2x32-rank17"])
+def test_certificate_on_structured_grams(state):
+    # the inverse iteration starts from a fixed vector; on these Grams a
+    # structured start could miss the null space
+    rep = qm.is_extreme(state)
+    assert not rep.is_extreme
+    cert = rep.certificate
+    assert np.abs(cert - cert.conj().T).max() == 0.0
+    assert abs(np.linalg.norm(cert) - 1.0) <= 1e-12
+    z = _scaled_factors(state)
+    rows = stacked_products_loop(z, state.m, state.n)
+    largest = float((np.abs(z) ** 2).reshape(state.m, state.n, -1).sum(axis=0).max())
+    residual = np.abs(cert.reshape(-1) @ rows).max()
+    assert residual <= 1e-13 * np.abs(cert).max() * largest
+    rho1, rho2 = qm.split_nonextreme(state, cert)
+    assert rho1.rank < state.rank
+    assert np.abs((rho1.matrix + rho2.matrix) / 2 - state.matrix).max() <= 1e-10
+
+
 def spread_sigma(n, r, seed):
     """Rank-r density on C^n in a Haar basis whose spectrum spans 1 to 1e-8."""
     rng = qm.PortableRng(seed)
@@ -442,7 +493,7 @@ def test_certificate_check_matches_product_stack():
 
 def test_split_memory_stays_bounded():
     # a rank-17 member at (2, 32): its 289 x 1024 complex product stack alone
-    # is 4.7 MB; z H z* and its partial trace need a few 64 x 64 blocks
+    # is 4.7 MB; the moved marginal sum_a z_a H z_a* needs a few 32 x 32 blocks
     sigma = qm.random_density(32, 32, seed=5)
     state = qm.nonextreme_of_rank_k(sigma, 2, 17)
     cert = qm.is_extreme(state).certificate
