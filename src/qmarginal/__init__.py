@@ -7,7 +7,6 @@ approximation, and extreme-point certification for density matrices on an
 
 from .constructors import (
     ApproxResult,
-    constant_diagonal_conjugate,
     construct_23,
     construct_rank_k,
     construct_with_spectra,
@@ -85,7 +84,6 @@ __all__ = [
     "bipartite",
     "compat_2x2",
     "compat_2x3",
-    "constant_diagonal_conjugate",
     "construct_23",
     "construct_rank_k",
     "construct_with_spectra",

@@ -6,9 +6,9 @@ where it is a sparse exact formula. It is lifted by ``I_m (x) V`` to
 ``Z`` and the state is ``rho = Z Z*``: rank k by construction, with first
 marginal sigma. The state is validated from ``Z`` itself, whose SVD gives
 the spectrum and eigenvectors of rho (see ``linalg.validate_density``).
-The spectra-prescribed construction conjugates its blocks by ``I_m (x) U``
-directly. The (2, 3) construction is a direct sum of two singletons and
-two 2x2 gadgets, found by one scan of a constant table of assignments and
+The spectra-prescribed construction is a closed-form factor too. The
+(2, 3) construction is a dense direct sum of two singletons and two 2x2
+gadgets, found by one scan of a constant table of assignments and
 validated once.
 """
 
@@ -148,15 +148,6 @@ def optimal_low_rank(
     )
 
 
-def constant_diagonal_conjugate(d) -> np.ndarray:
-    """Conjugate diag(d) by the DFT unitary: constant diagonal, spectrum d."""
-    d = np.asarray(d, dtype=float).reshape(-1)
-    mm = d.size
-    j = np.arange(mm)
-    f = np.exp(2j * np.pi * np.outer(j, j) / mm) / np.sqrt(mm)
-    return f.conj().T @ np.diag(d).astype(complex) @ f
-
-
 def horn_unitary(w, d) -> np.ndarray:
     """Unitary U with diag(U* diag(w) U) = d, for d majorized by w.
 
@@ -211,11 +202,14 @@ def construct_with_spectra(lam, mu, m: int) -> BipartiteState:
     """State with joint spectrum mu and first marginal diag(lam); needs m >= n.
 
     Feasible iff lam is majorized by the consecutive m-block sums of mu.
-    Each mu block is spread to constant diagonal on the first factor, the
-    block sums are steered onto lam by a prescribed-diagonal unitary on the
-    second factor, and a diagonal of m-th roots of unity cancels every
-    off-diagonal marginal entry exactly (which needs m >= n). Both spectra
-    must be probability vectors; anything else raises DomainError.
+    The state is Z Z* for Z = diag(conj(phases)) (F* (x) U*) diag(sqrt(b)):
+    the m-point DFT F spreads each mu block to constant diagonal on the
+    first factor, the prescribed-diagonal unitary U steers the block sums
+    onto lam, and the m-th roots of unity in phases cancel every
+    off-diagonal marginal entry (which needs m >= n). Column j*n + k
+    carries b = mu[k*m + j] of the descending mu; only the columns with
+    b > 0 are kept. Both spectra must be probability vectors; anything else
+    raises DomainError.
     """
     _positive("m", m)
     lam = np.array(_sorted_desc(lam, "lambda"))
@@ -226,16 +220,13 @@ def construct_with_spectra(lam, mu, m: int) -> BipartiteState:
         )
     blocks = np.array(_sorted_desc(mu, "mu", length=m * n)).reshape(n, m)
     u = horn_unitary(blocks.sum(axis=1), lam)  # PreconditionError unless majorized
-    # (I (x) U)* (A_k (x) e_k e_k*) (I (x) U) = A_k (x) u_k u_k*, u_k* the k-th row of U
-    a = np.zeros((m * n, m * n), dtype=complex)
-    for kk in range(n):
-        ak = constant_diagonal_conjugate(blocks[kk])
-        a += np.kron(ak, np.outer(u[kk].conj(), u[kk]))
-    phases = np.exp(
-        2j * np.pi * np.outer(np.arange(m), np.arange(1, n + 1)) / m
-    ).reshape(-1)
-    rho = a * np.outer(phases.conj(), phases)
-    return bipartite(rho, m, n)
+    j = np.arange(m)
+    f = np.exp(2j * np.pi * np.outer(j, j) / m) / np.sqrt(m)
+    phases = np.exp(2j * np.pi * np.outer(j, np.arange(1, n + 1)) / m).reshape(-1)
+    b = blocks.T.reshape(-1)
+    keep = b > 0.0  # mu may hold entries in [-MAJ_TOL, 0), which get no column
+    z = np.kron(f.conj().T, u.conj().T)[:, keep] * np.sqrt(b[keep])
+    return bipartite(None, m, n, factor=phases.conj()[:, None] * z)
 
 
 # (e, f, p, q, r, s, x, z): mu entries e and f on the singleton slots 0 and 5,
@@ -267,7 +258,9 @@ def construct_23(lam, mu) -> BipartiteState:
     range is taken, or else the one that misses by least, clamped. That one
     candidate is validated by ``bipartite``: its marginal must lie within
     MARGINAL_TOL of lam and its spectrum, from that one
-    eigendecomposition, within SPECTRUM_TOL of mu.
+    eigendecomposition, within SPECTRUM_TOL of mu. The matrix stays dense:
+    a factor would need the gadgets' eigenvectors, and for a full-rank mu
+    it is square and takes the same eigh.
     """
     lam = _sorted_desc(lam, "lambda", length=3)
     mu = _sorted_desc(mu, "mu", length=6)

@@ -175,12 +175,15 @@ def partial_trace_second(state, m: int | None = None, n: int | None = None) -> n
 def hermitian_eig(a, tol: float = HERMIT_TOL):
     """Descending eigendecomposition (w, V) of a Hermitian matrix, A = V diag(w) V*.
 
-    The eigh is taken of the Hermitian part of A. Ties keep the solver's
-    output order under a stable sort.
+    The eigh is taken of the Hermitian part A/2 + A*/2, which no finite
+    entry overflows; a spectrum that still does raises ``ValidationError``
+    ("not-finite"). Ties keep the solver's output order under a stable sort.
     """
     a = np.asarray(a, dtype=complex)
     assert_hermitian(a, tol)
-    w, v = np.linalg.eigh((a + a.conj().T) / 2.0)
+    w, v = np.linalg.eigh(a / 2.0 + a.conj().T / 2.0)
+    if not np.isfinite(w).all():
+        raise ValidationError("not-finite", "matrix has a non-finite eigenvalue")
     order = np.argsort(-w, kind="stable")
     return w[order], v[:, order]
 
@@ -236,7 +239,8 @@ def validate_density(
         raise ValidationError(
             "not-psd", f"matrix is not positive semidefinite (min eigenvalue {wmin:.3e})"
         )
-    tr = float(np.trace(a).real)
+    with np.errstate(over="ignore"):  # a trace that overflows is inf and fails below
+        tr = float(np.trace(a).real)
     if abs(tr - 1.0) > trace_tol:
         raise ValidationError("trace-not-one", f"trace is {tr!r}, expected 1")
     rank = int(np.sum(w > rank_tol_factor * max(wmax, 0.0)))

@@ -51,7 +51,8 @@ def random_state_with_marginal(
 
     Convex combination of rank-k building blocks Z Z* at random feasible
     ranks, each rotated on the first factor (which leaves the first
-    marginal untouched). Only the mixture is validated.
+    marginal untouched). Only the mixture is validated, from the stacked
+    factor [sqrt(w_t) (U_t (x) I_n) Z_t for each t].
     """
     rng = PortableRng(cfg.seed)
     n = sigma.dim
@@ -59,15 +60,14 @@ def random_state_with_marginal(
     lo, hi = element_rank_range(r, m)
     weights = rng.uniform(cfg.mix_components)
     weights = weights / weights.sum()
-    total = np.zeros((m * n, m * n), dtype=complex)
+    parts = []
     for t in range(cfg.mix_components):
         k = lo + rng.index(hi - lo + 1)
         z = _lifted(_factor(sigma.eigenvalues[:r], n, m, k), sigma, m)
         u = random_unitary(m, rng)
         # (U (x) I_n) Z is u @ Z.reshape(m, -1)
-        w = (u @ z.reshape(m, -1)).reshape(m * n, k)
-        total += weights[t] * (w @ w.conj().T)
-    return bipartite(total, m, n)
+        parts.append(np.sqrt(weights[t]) * (u @ z.reshape(m, -1)).reshape(m * n, k))
+    return bipartite(None, m, n, factor=np.hstack(parts))
 
 
 def search_min_norm(

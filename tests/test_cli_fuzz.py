@@ -8,7 +8,7 @@ A JSON boolean anywhere in a document is a usage error (exit 2).
 
 import json
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from qmarginal.cli import main
@@ -108,6 +108,10 @@ def invocations(draw):
 @settings(max_examples=200, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
 @given(invocations())
+# finite entries whose Hermitian part (A + A*)/2 would overflow
+@example((["extreme", "DOC", "--m", "1"], {"DOC": {
+    "rows": 2, "cols": 2, "m": 1, "n": 2,
+    "entries": [[0.5, 0.0], [1e308, 1e308], [1e308, -1e308], [0.5, 0.0]]}}))
 def test_cli_input_contract(tmp_path, capsys, invocation):
     argv, docs = invocation
     for name, doc in docs.items():

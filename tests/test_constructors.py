@@ -173,22 +173,6 @@ class TestOptimalLowRank:
                         assert res.norms[p] <= lp_norm(row, p) + 1e-9
 
 
-class TestConstantDiagonalConjugate:
-    def test_two_point(self):
-        out = qm.constant_diagonal_conjugate([1.0, 0.0])
-        assert_allclose(out, np.full((2, 2), 0.5), atol=1e-12)
-
-    def test_constant_input_fixed(self):
-        out = qm.constant_diagonal_conjugate([0.25, 0.25, 0.25])
-        assert_allclose(out, np.eye(3) * 0.25, atol=1e-12)
-
-    def test_diagonal_and_spectrum(self):
-        d = [0.6, 0.3, 0.1]
-        out = qm.constant_diagonal_conjugate(d)
-        assert_allclose(np.diag(out).real, np.full(3, 1 / 3), atol=1e-12)
-        assert_allclose(np.linalg.eigvalsh(out)[::-1], d, atol=1e-12)
-
-
 class TestHornUnitary:
     def test_identity_when_equal(self):
         u = qm.horn_unitary([0.5, 0.3, 0.2], [0.5, 0.3, 0.2])
@@ -225,9 +209,11 @@ class TestHornUnitary:
 
 class TestConstructWithSpectra:
     def test_qubit_pair(self):
-        state = qm.construct_with_spectra([0.5, 0.5], [0.5, 0.5, 0.0, 0.0], 2)
-        assert_allclose(state.rho.eigenvalues, [0.5, 0.5, 0.0, 0.0], atol=1e-8)
-        assert_allclose(qm.partial_trace_first(state), np.eye(2) / 2, atol=1e-10)
+        # mu may hold entries in [-MAJ_TOL, 0): such an entry gets no factor column
+        for mu in ([0.5, 0.5, 0.0, 0.0], [0.5, 0.5, 5e-11, -5e-11]):
+            state = qm.construct_with_spectra([0.5, 0.5], mu, 2)
+            assert_allclose(state.rho.eigenvalues, [0.5, 0.5, 0.0, 0.0], atol=1e-8)
+            assert_allclose(qm.partial_trace_first(state), np.eye(2) / 2, atol=1e-10)
 
     def test_pure_marginal_gives_tensor(self):
         xi = [0.6, 0.4]
@@ -240,10 +226,14 @@ class TestConstructWithSpectra:
         state = qm.construct_with_spectra(np.full(2, 0.5), np.full(6, 1 / 6), 3)
         assert_allclose(state.matrix, np.eye(6) / 6, atol=1e-10)
 
-    def test_marginal_is_diagonal_in_order(self):
+    def test_marginal_is_diagonal_in_order(self, eig_calls):
         lam = np.array([0.5, 0.3, 0.2])
         mu = np.array([0.4, 0.3, 0.1, 0.1, 0.1, 0.0, 0.0, 0.0, 0.0])
+        del eig_calls[:]
         state = qm.construct_with_spectra(lam, mu, 3)
+        # the zeros of mu get no column: validated from the SVD of a 9 x 5 factor
+        assert eig_calls == []
+        assert state.rank == 5
         assert_allclose(qm.partial_trace_first(state), np.diag(lam), atol=1e-10)
         assert np.abs(state.rho.eigenvalues - np.sort(mu)[::-1]).max() <= 1e-8
 

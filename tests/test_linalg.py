@@ -190,6 +190,16 @@ class TestValidateDensity:
             qm.validate_density(a)
         assert err.value.reason == "not-finite"
 
+    @pytest.mark.parametrize("a, reason", [
+        ([[0.5, 1e308 + 1e308j], [1e308 - 1e308j, 0.5]], "not-psd"),  # spectrum +-1.4e308
+        ([[1e308, 1e308], [1e308, 1e308]], "not-finite"),  # spectrum {2e308, 0}
+        ([[1e308, 0.0], [0.0, 1e308]], "trace-not-one"),  # the trace overflows
+    ])
+    def test_entries_near_the_float_limit(self, a, reason):
+        with pytest.raises(qm.ValidationError) as err:
+            qm.validate_density(np.array(a))
+        assert err.value.reason == reason
+
     def test_empty_matrix(self):
         with pytest.raises(qm.DimensionError, match="non-empty"):
             qm.validate_density(np.zeros((0, 0)))

@@ -41,23 +41,28 @@ class TestRandomStateWithMarginal:
 
     def test_matches_rotated_rank_k_blocks(self, eig_calls):
         # reference: the same draws, each block construct_rank_k(...)
-        # conjugated by U (x) I_n; only the mixture is validated
+        # conjugated by U (x) I_n; only the mixture is validated. At seed 5
+        # the ranks (3, 4, 6) stack 13 >= mn = 12 columns: eigh of the
+        # mixture. At seed 2 the ranks (4, 4, 1) stack 9: the SVD of the
+        # thin factor, and no eigh
         sigma = qm.random_density(4, 3, seed=17)
-        m, cfg = 3, qm.SamplerConfig(seed=5, mix_components=3)
-        rng = qm.PortableRng(cfg.seed)
+        m = 3
         lo, hi = qm.element_rank_range(sigma.rank, m)
-        weights = rng.uniform(cfg.mix_components)
-        weights = weights / weights.sum()
-        want = np.zeros((m * sigma.dim, m * sigma.dim), dtype=complex)
-        for t in range(cfg.mix_components):
-            k = lo + rng.index(hi - lo + 1)
-            block = qm.construct_rank_k(sigma, m, k).matrix
-            u = np.kron(qm.random_unitary(m, rng), np.eye(sigma.dim))
-            want += weights[t] * (u @ block @ u.conj().T)
-        del eig_calls[:]
-        got = qm.random_state_with_marginal(sigma, m, cfg).matrix
-        assert eig_calls == ["eigh"]
-        assert np.abs(got - want).max() <= 1e-14
+        for seed, eigs in ((5, ["eigh"]), (2, [])):
+            cfg = qm.SamplerConfig(seed=seed, mix_components=3)
+            rng = qm.PortableRng(cfg.seed)
+            weights = rng.uniform(cfg.mix_components)
+            weights = weights / weights.sum()
+            want = np.zeros((m * sigma.dim, m * sigma.dim), dtype=complex)
+            for t in range(cfg.mix_components):
+                k = lo + rng.index(hi - lo + 1)
+                block = qm.construct_rank_k(sigma, m, k).matrix
+                u = np.kron(qm.random_unitary(m, rng), np.eye(sigma.dim))
+                want += weights[t] * (u @ block @ u.conj().T)
+            del eig_calls[:]
+            got = qm.random_state_with_marginal(sigma, m, cfg).matrix
+            assert eig_calls == eigs
+            assert np.abs(got - want).max() <= 1e-14
 
 
 class TestSearchMinNorm:
