@@ -11,7 +11,6 @@ failure.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import replace
@@ -331,8 +330,7 @@ def main(argv=None) -> int:
     except (_UsageError, DimensionError, DomainError, InvalidCertificateError) as exc:
         _emit_error("usage", str(exc))
         return 2
-    except (OSError, OverflowError, json.JSONDecodeError, KeyError, TypeError, ValueError,
-            MemoryError) as exc:
+    except (OSError, OverflowError, KeyError, TypeError, ValueError, MemoryError) as exc:
         _emit_error("usage", f"{type(exc).__name__}: {exc}")
         return 2
     except InternalInvariantError as exc:

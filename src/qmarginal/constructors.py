@@ -29,7 +29,7 @@ from .errors import (
 from .feasibility import (_compat_2x3, _sorted_desc, element_rank_range, exact_low_rank_exists,
                           extreme_rank_range)
 from .kernels import _positive
-from .linalg import BipartiteState, DensityMatrix, bipartite, partial_trace_first
+from .linalg import BipartiteState, DensityMatrix, _hermitian_part, bipartite, partial_trace_first
 from .majorization import MAJ_TOL, lp_norm, majorizes
 
 SPECTRUM_TOL = 1e-8
@@ -124,18 +124,15 @@ def optimal_low_rank(
     """
     r = sigma.rank
     exact = exact_low_rank_exists(r, m, k)
-    if exact:
-        state = construct_rank_k(sigma, m, element_rank_range(r, m).k_min)
-        mu_shift = 0.0
-    else:
-        lam = sigma.eigenvalues[:r]
-        mk = m * k
-        mu_shift = float(lam[mk:].sum() / mk)
-        # the mk boosted weights, spread over k columns of m slots each
-        state = _lift(_factor(lam[:mk] + mu_shift, sigma.dim, m, k), sigma, m)
+    # an exact approximation takes the least rank ceil(r/m), with no shift
+    k = min(k, element_rank_range(r, m).k_min)
+    lam = sigma.eigenvalues[:r]
+    mk = m * k
+    mu_shift = float(lam[mk:].sum() / mk)
+    # the mk boosted weights, spread over k columns of m slots each
+    state = _lift(_factor(lam[:mk] + mu_shift, sigma.dim, m, k), sigma, m)
     achieved = partial_trace_first(state)
-    resid = sigma.matrix - achieved
-    resid_spec = np.linalg.eigvalsh((resid + resid.conj().T) / 2.0)[::-1].copy()
+    resid_spec = np.linalg.eigvalsh(_hermitian_part(sigma.matrix - achieved))[::-1].copy()
     # ascending order, as schatten_norm sums them
     norm_values = {float(p): lp_norm(resid_spec[::-1], p) for p in norms}
     return ApproxResult(

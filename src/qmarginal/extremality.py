@@ -37,7 +37,7 @@ import numpy as np
 
 from .constructors import MARGINAL_TOL
 from .errors import InvalidCertificateError
-from .linalg import TRACE_TOL, BipartiteState, bipartite
+from .linalg import TRACE_TOL, BipartiteState, _hermitian_part, bipartite
 
 INDEP_TOL = 1e-8
 MARGINAL_INDEP_TOL = 1e-6
@@ -164,9 +164,11 @@ def split_nonextreme(
     side has an exact zero column; T = V sqrt(lambda) over the positive
     eigenvalues under the rank cutoff, so the halves average to the state,
     except for the smallest ones whose sum stays under ROUNDOFF_TAIL. A
-    certificate whose step is not finite (a zero or subnormal one), or would
+    certificate is rejected before either half is built if its step is not
+    a normal number (a zero or subnormal certificate, or max|eig| of its
+    Hermitian part cert/2 + cert*/2 above 1/tiny, about 4.5e307), or would
     move the marginal by more than MARGINAL_TOL or a half's trace by more
-    than TRACE_TOL, is rejected before either half is built.
+    than TRACE_TOL.
     """
     try:
         cert = np.asarray(certificate, dtype=complex)
@@ -193,13 +195,13 @@ def split_nonextreme(
         raise InvalidCertificateError(
             f"certificate does not annihilate the factor products (residual {residual:.3e})"
         )
-    eta, q = np.linalg.eigh((cert + cert.conj().T) / 2.0)
+    eta, q = np.linalg.eigh(_hermitian_part(cert))
     extreme_eig = eta[-1] if abs(eta[-1]) >= abs(eta[0]) else eta[0]
     with np.errstate(divide="ignore", over="ignore"):
         step = 1.0 / abs(extreme_eig)
-    if not np.isfinite(step):
+    if not np.finfo(float).tiny <= step < np.inf:
         raise InvalidCertificateError(
-            f"certificate step 1/max|eig| is not finite (max|eig| {abs(extreme_eig):.3e})"
+            f"certificate step 1/max|eig| = {step:.3e} is not finite, or subnormal"
         )
     if residual * step > MARGINAL_TOL:
         raise InvalidCertificateError(

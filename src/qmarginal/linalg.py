@@ -29,7 +29,6 @@ HERMIT_TOL = 1e-9
 PSD_TOL = 1e-9
 TRACE_TOL = 1e-9
 RANK_TOL_FACTOR = 1e-9
-EIG_TOL = 1e-12
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -68,24 +67,23 @@ def _explicit_dims(total: int, m: int | None, n: int | None) -> tuple[int, int]:
     return factor_dims(total, m, n)
 
 
-def hermiticity_defect(a: np.ndarray) -> float:
-    """max |A - A*| entry, relative to max(1, max |A|)."""
-    a = np.asarray(a)
-    scale = max(1.0, float(np.abs(a).max())) if a.size else 1.0
-    return float(np.abs(a - a.conj().T).max()) / scale
-
-
 def assert_hermitian(a: np.ndarray, tol: float = HERMIT_TOL) -> None:
+    """Raise unless A is finite, square, non-empty and max |A - A*| <= tol * max(1, max |A|)."""
     _check_tolerance("tol", tol)
     if not np.isfinite(a).all():
         raise ValidationError("not-finite", "matrix has a non-finite entry")
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
         raise DimensionError(f"expected a non-empty square matrix, got shape {a.shape}")
-    defect = hermiticity_defect(a)
+    defect = float(np.abs(a - a.conj().T).max()) / max(1.0, float(np.abs(a).max()))
     if defect > tol:
         raise ValidationError(
             "not-hermitian", f"matrix is not Hermitian (relative defect {defect:.3e})"
         )
+
+
+def _hermitian_part(a: np.ndarray) -> np.ndarray:
+    """A/2 + A*/2, which no finite entry overflows (unlike (A + A*)/2)."""
+    return a / 2.0 + a.conj().T / 2.0
 
 
 @dataclass(frozen=True)
@@ -172,6 +170,13 @@ def partial_trace_second(state, m: int | None = None, n: int | None = None) -> n
     return np.einsum("aibi->ab", rho.reshape(m, n, m, n))
 
 
+def _descending(w: np.ndarray) -> np.ndarray:
+    """Stable order sorting eigenvalues w descending; a non-finite one raises ValidationError."""
+    if not np.isfinite(w).all():
+        raise ValidationError("not-finite", "matrix has a non-finite eigenvalue")
+    return np.argsort(-w, kind="stable")
+
+
 def hermitian_eig(a, tol: float = HERMIT_TOL):
     """Descending eigendecomposition (w, V) of a Hermitian matrix, A = V diag(w) V*.
 
@@ -181,16 +186,18 @@ def hermitian_eig(a, tol: float = HERMIT_TOL):
     """
     a = np.asarray(a, dtype=complex)
     assert_hermitian(a, tol)
-    w, v = np.linalg.eigh(a / 2.0 + a.conj().T / 2.0)
-    if not np.isfinite(w).all():
-        raise ValidationError("not-finite", "matrix has a non-finite eigenvalue")
-    order = np.argsort(-w, kind="stable")
+    w, v = np.linalg.eigh(_hermitian_part(a))
+    order = _descending(w)
     return w[order], v[:, order]
 
 
 def spectrum(a) -> np.ndarray:
-    """Descending eigenvalues of a Hermitian matrix."""
-    return hermitian_eig(a)[0]
+    """Descending eigenvalues: :func:`hermitian_eig`'s checks and errors, without eigenvectors
+    (from ``eigvalsh``, so they may differ from ``hermitian_eig``'s in the last digit)."""
+    a = np.asarray(a, dtype=complex)
+    assert_hermitian(a)
+    w = np.linalg.eigvalsh(_hermitian_part(a))
+    return w[_descending(w)]
 
 
 def validate_density(

@@ -8,7 +8,7 @@ import numpy as np
 
 from . import kernels
 from .errors import DimensionError, DomainError
-from .linalg import assert_hermitian
+from .linalg import spectrum
 
 MAJ_TOL = 1e-10
 
@@ -84,11 +84,8 @@ def majorization_slack(x, y) -> float:
 
 
 def schatten_norm(a, p: float) -> float:
-    """Schatten p-norm of a Hermitian matrix: the l_p norm of its eigenvalues."""
-    a = np.asarray(a, dtype=complex)
-    assert_hermitian(a)
-    w = np.abs(np.linalg.eigvalsh((a + a.conj().T) / 2.0))
-    return lp_norm(w, p)
+    """Schatten p-norm of a Hermitian matrix: the l_p norm of its ``spectrum``, summed ascending."""
+    return lp_norm(spectrum(a)[::-1], p)
 
 
 def lp_norm(values, p: float) -> float:
@@ -109,10 +106,7 @@ def _lp_power_sums(v: np.ndarray, p: float, axis=None):
     """Sums of v**p along axis (all of v for None; the max for p = inf): norms before ``_lp_root``."""
     if np.isinf(p):
         return v.max(axis=axis)
-    if p == 1:
-        return v.sum(axis=axis)
-    if p == 2:
-        return (v * v).sum(axis=axis)
+    # numpy's fast paths for the exponents 1 and 2 give the bits of v.sum() and (v * v).sum()
     return (v ** p).sum(axis=axis)
 
 

@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 import qmarginal as qm
 from qmarginal import kernels
 from qmarginal.constructors import _gadget_offdiag
+from qmarginal.majorization import lp_norm
 
 from helpers import band_edge_pairs, haar_unitary, random_prob_vector, sigma_corpus, t_transform_mix
 
@@ -147,10 +148,14 @@ class TestOptimalLowRank:
             n = 4 + seed % 3
             r = n - seed % 2
             sigma = qm.random_density(n, r, seed=700 + seed)
-            for m, k in [(1, 1), (2, 1), (1, 2)]:
-                if m * k >= r:
-                    continue
+            for m, k in [(1, 1), (2, 1), (1, 2), (2, 2), (3, 2)]:
                 res = qm.optimal_low_rank(sigma, m, k)
+                if m * k >= r:
+                    # the exact answer is the least-rank construction, bit for bit
+                    least = qm.construct_rank_k(sigma, m, -(-r // m))
+                    assert np.array_equal(res.rho.matrix, least.matrix)
+                    assert res.exact and res.mu_shift == 0.0
+                    continue
                 lam = sigma.eigenvalues[:r]
                 mu = lam[m * k:].sum() / (m * k)
                 expect = np.concatenate([
@@ -167,9 +172,10 @@ class TestOptimalLowRank:
                     assert res.norms[p] == qm.schatten_norm(sigma.matrix - res.achieved_sigma, p)
                 for row in spectra:
                     assert qm.majorizes(res.residual_spectrum, row).holds
+                    # the general power sum keeps the bits of the p = 1 and p = 2 sums
+                    assert lp_norm(row, 1) == np.abs(row).sum()
+                    assert lp_norm(row, 2) == np.sqrt((row * row).sum())
                     for p in (1.0, 2.0, np.inf):
-                        from qmarginal.majorization import lp_norm
-
                         assert res.norms[p] <= lp_norm(row, p) + 1e-9
 
 

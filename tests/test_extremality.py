@@ -200,13 +200,28 @@ class TestSplitNonextreme:
         with pytest.raises(qm.InvalidCertificateError, match="non-finite"):
             qm.split_nonextreme(state, cert)
 
-    @pytest.mark.parametrize("scale", [0.0, 1e-310], ids=["zero", "subnormal"])
+    @pytest.mark.parametrize("scale", [0.0, 1e-310, 1.7e308],
+                             ids=["zero", "subnormal", "near-overflow"])
     def test_certificate_without_finite_step_rejected(self, scale):
-        # the step 1/max|eig| of a zero or subnormal certificate is not finite
+        # the step 1/max|eig| of a zero or subnormal certificate is not finite;
+        # that of one with max|eig| 1.3e308 is subnormal
         state = qm.bipartite(np.eye(6) / 6, 2, 3)
         cert = scale * qm.is_extreme(state).certificate
         with pytest.raises(qm.InvalidCertificateError, match="not finite"):
             qm.split_nonextreme(state, cert)
+
+    def test_certificate_near_the_float_limit(self):
+        # certificates up to max|eig| 4e307 still split; one with entries of
+        # 1.7e308 has a spectrum that overflows, and so a zero step
+        state = qm.bipartite(np.eye(6) / 6, 2, 3)
+        unit = qm.is_extreme(state).certificate
+        unit = unit / np.abs(unit).max()
+        eta_max = np.abs(np.linalg.eigvalsh(unit)).max()
+        for cert in (1e300 * unit, 4e307 / eta_max * unit):
+            rho1, _ = qm.split_nonextreme(state, cert)
+            assert rho1.rank < state.rank
+        with pytest.raises(qm.InvalidCertificateError, match="not finite"):
+            qm.split_nonextreme(state, 1.7e308 * unit)
 
     def test_non_numeric_certificate_rejected(self):
         state = qm.bipartite(np.eye(6) / 6, 2, 3)

@@ -102,6 +102,19 @@ class TestSchattenNorm:
             qm.schatten_norm([[bad, 0.0], [0.0, 1.0]], 1)
         assert err.value.reason == "not-finite"
 
+    @pytest.mark.parametrize("a, want", [
+        ([[1e308, 0.0], [0.0, -1e308]], 1e308),  # (A + A*)/2 would overflow
+        ([[0.5, 1e308 + 1e308j], [1e308 - 1e308j, 0.5]], 0.5 + math.sqrt(2) * 1e308),
+        ([[1e308, 1e308], [1e308, 1e308]], "not-finite"),  # spectrum {2e308, 0}
+    ], ids=["diagonal", "off-diagonal", "overflowing-spectrum"])
+    def test_entries_near_the_float_limit(self, a, want):
+        if isinstance(want, str):
+            with pytest.raises(qm.ValidationError) as err:
+                qm.schatten_norm(np.array(a), np.inf)
+            assert err.value.reason == want
+        else:
+            assert qm.schatten_norm(np.array(a), np.inf) == pytest.approx(want, rel=1e-15)
+
     def test_p_below_one_rejected(self):
         with pytest.raises(qm.DomainError):
             qm.schatten_norm(np.eye(2), 0.5)
