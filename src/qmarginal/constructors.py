@@ -4,8 +4,8 @@ Every low-rank construction is a factor ``Z0`` of k columns over
 diag(d), the eigenvalues of the target marginal sigma = V diag(d) V*,
 where it is a sparse exact formula. It is lifted by ``I_m (x) V`` to
 ``Z`` and the state is ``rho = Z Z*``: rank k by construction, with first
-marginal sigma. The state is validated from ``Z`` itself, whose SVD gives
-the spectrum and eigenvectors of rho (see ``linalg.validate_density``).
+marginal sigma. The state is validated from the thin SVD of ``Z`` itself,
+whatever its width k (see ``linalg.validate_density``).
 The spectra-prescribed construction is a closed-form factor too. The
 (2, 3) construction is a dense direct sum of two singletons and two 2x2
 gadgets, found by one scan of a constant table of assignments and
@@ -76,9 +76,10 @@ def _factor(d: np.ndarray, n: int, m: int, k: int) -> np.ndarray:
 
 
 def _lifted(z0: np.ndarray, sigma: DensityMatrix, m: int) -> np.ndarray:
-    """Z = (I_m (x) V) Z0, where sigma = V diag(d) V*."""
-    n = sigma.dim
-    return (sigma.eigenvectors @ z0.reshape(m, n, -1)).reshape(m * n, -1)
+    """Z = (I_m (x) V) Z0, where sigma = V diag(d) V*; Z0 is zero past row
+    rank(sigma) of each block, so V may hold only the range of sigma."""
+    n, v = sigma.dim, sigma.eigenvectors
+    return (v @ z0.reshape(m, n, -1)[:, : v.shape[1]]).reshape(m * n, -1)
 
 
 def _lift(z0: np.ndarray, sigma: DensityMatrix, m: int) -> BipartiteState:
@@ -256,8 +257,8 @@ def construct_23(lam, mu) -> BipartiteState:
     candidate is validated by ``bipartite``: its marginal must lie within
     MARGINAL_TOL of lam and its spectrum, from that one
     eigendecomposition, within SPECTRUM_TOL of mu. The matrix stays dense:
-    a factor would need the gadgets' eigenvectors, and for a full-rank mu
-    it is square and takes the same eigh.
+    a factor would need the gadgets' eigenvectors, and at 6 x 6 its
+    validation would cost about what the one eigh does.
     """
     lam = _sorted_desc(lam, "lambda", length=3)
     mu = _sorted_desc(mu, "mu", length=6)

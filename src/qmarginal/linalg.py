@@ -9,10 +9,9 @@ Conventions used throughout the package:
   ``j`` holds entries ``j*n .. (j+1)*n``; ``unfold`` is its inverse. Under
   these maps ``tr1(w w*) = W W*`` and ``tr2(w w*) = W^t (W^t)*``.
 * Spectra are real vectors sorted descending.
-* A state built as ``rho = Z Z*`` from a factor of k < m*n columns is
-  validated from the factor: its spectrum and eigenvectors come from the
-  SVD of the (m*n, k) ``Z``, which costs O(mn k^2) instead of the O((mn)^3)
-  eigendecomposition of rho.
+* A state built as ``rho = Z Z*`` from a factor of any width k is
+  validated from the thin SVD of the (m*n, k) ``Z``, not the O((mn)^3)
+  eigendecomposition of rho, and keeps only the eigenvectors of its range.
 """
 
 from __future__ import annotations
@@ -91,16 +90,17 @@ class DensityMatrix:
     """Validated positive semidefinite unit-trace Hermitian matrix.
 
     ``eigenvalues`` is the spectrum computed at construction, clipped at 0,
-    and ``eigenvectors`` holds the matching unit eigenvectors as columns, so
-    ``matrix`` is ``eigenvectors @ diag(eigenvalues) @ eigenvectors*`` up to
-    the clipping. Both are descending. For a matrix they are in the order of
+    and the c columns of ``eigenvectors`` are unit eigenvectors of its first
+    c entries, so ``matrix`` is ``V @ diag(w[:c]) @ V*`` up to the clipping.
+    Both are descending. For a matrix they are in the order of
     :func:`hermitian_eig`, with exact ties kept in the solver's order (stable
-    sort). For a state validated from a thin factor Z (``factor=Z``) they come
-    from the full SVD of Z: the eigenvectors are its left singular vectors,
-    ties keep the SVD's order, and the trailing zeros of the spectrum carry
-    the completing columns of the SVD's unitary. ``rank`` is the numerical
-    rank at the construction tolerance, so the first ``rank`` eigenvalues are
-    positive. Construct via :func:`validate_density`; instances are immutable.
+    sort). For a state validated from a d x k factor Z (``factor=Z``) they
+    come from the thin SVD of Z, ties in its order: ``eigenvectors`` is the
+    d x min(d, k) left singular basis, which spans the range, and the zeros
+    that pad the spectrum to length d have no eigenvector. ``rank`` is the
+    numerical rank at the construction tolerance, so the first ``rank``
+    eigenvalues are positive. Construct via :func:`validate_density`;
+    instances are immutable.
     """
 
     matrix: np.ndarray
@@ -212,10 +212,10 @@ def validate_density(
     """Validate finiteness / Hermiticity / positivity / unit trace and compute the numerical rank.
 
     Pass either the matrix ``a`` or, as ``factor=Z``, a factor of ``a = Z Z*``.
-    A factor of k < d columns on C^d gives the spectrum and eigenvectors from
-    one full SVD of the d x k factor, not an eigendecomposition of the d x d
-    matrix: the squared singular values padded with d - k zeros, and the full
-    left singular basis. A wider factor takes the matrix path on Z Z*.
+    A d x k factor of any width takes one thin SVD, not an eigendecomposition
+    of the d x d matrix: the squared singular values padded with zeros to
+    length d, and the d x min(d, k) left singular basis. Z Z* is Hermitian
+    by construction, so ``hermit_tol`` applies to the matrix path only.
     """
     if (a is None) == (factor is None):
         raise TypeError("pass exactly one of a matrix and factor=")
@@ -227,19 +227,18 @@ def validate_density(
         w, v = hermitian_eig(a, hermit_tol)
     else:
         z = np.asarray(factor, dtype=complex)
-        if z.ndim != 2:
-            raise DimensionError(f"expected a factor matrix, got ndim {z.ndim}")
+        if z.ndim != 2 or z.shape[0] == 0:
+            raise DimensionError(f"expected a non-empty factor matrix, got shape {z.shape}")
         if not np.isfinite(z).all():
             raise ValidationError("not-finite", "factor has a non-finite entry")
-        a = z @ z.conj().T
-        d, k = z.shape
-        if k >= d:
-            w, v = hermitian_eig(a, hermit_tol)
-        else:
-            assert_hermitian(a, hermit_tol)
-            v, s, _ = np.linalg.svd(z, full_matrices=True)
-            w = np.zeros(d)
-            w[:k] = s * s
+        # an entry or eigenvalue that overflows is inf (or NaN, from inf - inf)
+        with np.errstate(over="ignore", invalid="ignore"):
+            a = z @ z.conj().T
+            v, s, _ = np.linalg.svd(z, full_matrices=False)
+            w = np.zeros(z.shape[0])
+            w[:s.size] = s * s
+        if not (np.isfinite(a).all() and np.isfinite(w).all()):
+            raise ValidationError("not-finite", "Z Z* has a non-finite entry or eigenvalue")
     wmax = float(w[0])
     wmin = float(w[-1])
     if wmin < -psd_tol * max(1.0, abs(wmax)):

@@ -78,11 +78,6 @@ def majorizes(x, y) -> MajorizationReport:
     )
 
 
-def majorization_slack(x, y) -> float:
-    """Signed slack of the x-precedes-y test: nonnegative (within MAJ_TOL) iff it holds."""
-    return _slack(*_descending_pair(x, y))
-
-
 def schatten_norm(a, p: float) -> float:
     """Schatten p-norm of a Hermitian matrix: the l_p norm of its ``spectrum``, summed ascending."""
     return lp_norm(spectrum(a)[::-1], p)

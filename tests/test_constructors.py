@@ -109,6 +109,33 @@ class TestConstructRankK:
         assert state.rank == 16
         assert marginal_error(state, sigma.matrix) <= 1e-10
 
+    def test_widest_rank_takes_the_thin_svd(self, eig_calls):
+        # the rank-r*m state of a full-rank sigma has a square 8 x 8 factor
+        sigma = qm.random_density(4, 4, seed=35)
+        del eig_calls[:]
+        state = qm.construct_rank_k(sigma, 2, 8)
+        assert eig_calls == []
+        assert state.rank == 8
+        assert marginal_error(state, sigma.matrix) <= 1e-10
+
+    def test_marginal_validated_from_a_factor(self):
+        # such a sigma keeps only the eigenvectors of its range: 6 x 3 here
+        z = qm.PortableRng(36).complex_normal((6, 3))
+        sigma = qm.validate_density(factor=z / np.linalg.norm(z))
+        assert sigma.eigenvectors.shape == (6, 3)
+        for m in (1, 2, 3):
+            lo, hi = qm.element_rank_range(3, m)
+            for k in range(lo, hi + 1):
+                state = qm.construct_rank_k(sigma, m, k)
+                assert state.rank == k, (m, k)
+                assert marginal_error(state, sigma.matrix) <= 1e-10
+        state = qm.random_state_with_marginal(sigma, 2, qm.SamplerConfig(seed=3))
+        assert marginal_error(state, sigma.matrix) <= 1e-10
+        state = qm.nonextreme_of_rank_k(sigma, 2, 3)
+        assert marginal_error(state, sigma.matrix) <= 1e-10
+        res = qm.optimal_low_rank(sigma, 1, 2)
+        assert not res.exact and res.rho.rank == 2
+
 
 class TestOptimalLowRank:
     def test_worked_example(self):
@@ -242,6 +269,17 @@ class TestConstructWithSpectra:
         assert state.rank == 5
         assert_allclose(qm.partial_trace_first(state), np.diag(lam), atol=1e-10)
         assert np.abs(state.rho.eigenvalues - np.sort(mu)[::-1]).max() <= 1e-8
+
+    def test_full_rank_mu_takes_the_thin_svd(self, eig_calls):
+        lam = np.array([0.5, 0.3, 0.2])
+        mu = np.array([0.2, 0.15, 0.15, 0.1, 0.1, 0.1, 0.08, 0.07, 0.05])
+        del eig_calls[:]
+        state = qm.construct_with_spectra(lam, mu, 3)
+        # every mu entry gets a column: a square 9 x 9 factor and no eigh
+        assert eig_calls == []
+        assert state.rank == 9
+        assert_allclose(qm.partial_trace_first(state), np.diag(lam), atol=1e-10)
+        assert np.abs(state.rho.eigenvalues - mu).max() <= 1e-8
 
     def test_trivial_marginal(self):
         state = qm.construct_with_spectra([1.0], [0.6, 0.3, 0.1], 3)

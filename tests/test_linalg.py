@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import qmarginal as qm
@@ -252,6 +254,33 @@ def lifted_factors():
                 yield m, n, k, _lifted(_factor(sigma.eigenvalues[:r], n, m, k), sigma, m)
 
 
+def spread_factor(d: int, k: int, seed: int) -> np.ndarray:
+    """Seeded d x k factor of unit Frobenius norm with zero and dependent columns.
+
+    Its nonzero singular values lie within a factor 1e3 of each other, so
+    its squared ones sit far above the rank cutoff 1e-9 of the largest.
+    """
+    rng = qm.PortableRng(seed)
+    rank = 1 + rng.index(min(d, k))
+    live = rank + rng.index(k - rank + 1)  # more live columns than the rank are dependent
+    cols = np.argsort(rng.uniform(k), kind="stable")[:live]
+    basis = np.linalg.qr(rng.complex_normal((d, rank)))[0]
+    mix = np.linalg.qr(rng.complex_normal((live, rank)))[0]
+    scales = 10.0 ** (-3.0 * rng.uniform(rank))
+    z = np.zeros((d, k), dtype=complex)
+    z[:, cols] = (basis * (scales / np.linalg.norm(scales))) @ mix.conj().T
+    return z
+
+
+def assert_range_basis(dm, width: int, where=None) -> None:
+    """The eigenvectors are d x width with orthonormal columns and rebuild the matrix."""
+    v = dm.eigenvectors
+    assert v.shape == (dm.dim, width), where
+    assert np.abs(v.conj().T @ v - np.eye(width)).max() <= 1e-13, where
+    rebuilt = (v * dm.eigenvalues[:width]) @ v.conj().T
+    assert np.abs(rebuilt - dm.matrix).max() <= 1e-13, where
+
+
 class TestFactorPath:
     def test_matches_matrix_path_over_corpus(self):
         seen_thin = seen_square = False
@@ -266,21 +295,36 @@ class TestFactorPath:
             assert fac.rank == ref.rank == k, where
             assert fac.eigenvalues.shape == (d,), where
             assert np.abs(fac.eigenvalues - ref.eigenvalues).max() <= 1e-14, where
-            v = fac.eigenvectors
-            assert v.shape == (d, d), where
-            assert np.abs(v.conj().T @ v - np.eye(d)).max() <= 1e-13, where
-            assert np.abs(v @ v.conj().T - np.eye(d)).max() <= 1e-13, where
-            rebuilt = (v * fac.eigenvalues) @ v.conj().T
-            assert np.abs(rebuilt - fac.matrix).max() <= 1e-13, where
+            assert_range_basis(fac, min(d, k), where)
         assert seen_thin and seen_square
 
-    def test_square_factor_takes_the_matrix_path(self, eig_calls):
+    def test_square_factor_takes_the_thin_svd(self, eig_calls):
         z = qm.PortableRng(32).complex_normal((6, 6))
         z /= np.linalg.norm(z)
         dm = qm.validate_density(factor=z)
-        assert eig_calls == ["eigh"]
+        assert eig_calls == []
         ref = qm.validate_density(z @ z.conj().T)
-        assert dm.eigenvectors.tobytes() == ref.eigenvectors.tobytes()
+        assert dm.rank == ref.rank == 6
+        assert np.abs(dm.eigenvalues - ref.eigenvalues).max() <= 1e-14
+        assert_range_basis(dm, 6)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.integers(1, 16).flatmap(lambda d: st.tuples(
+        st.just(d), st.integers(1, 2 * d), st.integers(0, 2**32 - 1))))
+    def test_one_path_for_every_width(self, eig_calls, case):
+        # thin, square and wide factors, some with dependent or zero columns
+        d, k, seed = case
+        z = spread_factor(d, k, seed)
+        ref = qm.validate_density(z @ z.conj().T)
+        del eig_calls[:]
+        fac = qm.validate_density(factor=z)
+        assert eig_calls == []
+        assert fac.matrix.tobytes() == ref.matrix.tobytes()
+        assert fac.rank == ref.rank
+        assert fac.eigenvalues.shape == (d,)
+        assert np.abs(fac.eigenvalues - ref.eigenvalues).max() <= 1e-14
+        assert_range_basis(fac, min(d, k))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
     def test_not_finite_factor(self, bad):
@@ -299,6 +343,19 @@ class TestFactorPath:
     def test_factor_must_be_a_matrix(self):
         with pytest.raises(qm.DimensionError):
             qm.validate_density(factor=np.ones(4) / 2)
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 3)], ids=["0x0", "0x3"])
+    def test_factor_must_have_rows(self, shape):
+        with pytest.raises(qm.DimensionError, match="non-empty"):
+            qm.validate_density(factor=np.zeros(shape))
+
+    # Z Z* overflows at 1e160 (to NaN off the diagonal for complex entries);
+    # at 1.2e154 only its eigenvalue 2.9e308 does
+    @pytest.mark.parametrize("entry", [1e160, 1e160 + 1e160j, 1.2e154])
+    def test_overflowing_factor(self, entry):
+        with pytest.raises(qm.ValidationError) as err:
+            qm.validate_density(factor=np.full((2, 1), entry))
+        assert err.value.reason == "not-finite"
 
 
 def test_bipartite_factor_dims_must_be_positive():
