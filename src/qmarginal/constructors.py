@@ -4,9 +4,12 @@ Every low-rank construction is a factor ``Z0`` of k columns over
 diag(d), the eigenvalues of the target marginal sigma = V diag(d) V*,
 where it is a sparse exact formula. It is lifted by ``I_m (x) V`` to
 ``Z`` and the state is ``rho = Z Z*``: rank k by construction, with first
-marginal sigma. The state is validated from the thin SVD of ``Z`` itself,
-whatever its width k (see ``linalg.validate_density``).
-The spectra-prescribed construction is a closed-form factor too. The
+marginal sigma. The state is validated from ``Z`` itself, whatever its
+width k (see ``linalg.validate_density``): the columns of a lifted
+``_factor`` are orthogonal, so their squared norms are its spectrum and
+no decomposition is taken; the split factor of ``nonextreme_of_rank_k``
+takes the thin SVD. The spectra-prescribed construction is a closed-form
+factor with orthogonal columns too. The
 (2, 3) construction is a dense direct sum of two singletons and two 2x2
 gadgets, found by one scan of a constant table of assignments and
 validated once.

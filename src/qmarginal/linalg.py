@@ -10,8 +10,13 @@ Conventions used throughout the package:
   these maps ``tr1(w w*) = W W*`` and ``tr2(w w*) = W^t (W^t)*``.
 * Spectra are real vectors sorted descending.
 * A state built as ``rho = Z Z*`` from a factor of any width k is
-  validated from the thin SVD of the (m*n, k) ``Z``, not the O((mn)^3)
-  eigendecomposition of rho, and keeps only the eigenvectors of its range.
+  validated from ``Z``, not from the O((mn)^3) eigendecomposition of rho,
+  and keeps only the eigenvectors of its range. A factor whose columns are
+  nonzero and pairwise orthogonal (every cosine at most ``ORTHO_TOL``)
+  reads them off its k x k Gram ``Z* Z``: the squared column norms are the
+  eigenvalues, within a relative (k - 1) * ``ORTHO_TOL``, and the
+  normalised columns the eigenvectors. Any other factor takes the thin SVD
+  of the (m*n, k) ``Z``.
 """
 
 from __future__ import annotations
@@ -28,6 +33,14 @@ HERMIT_TOL = 1e-9
 PSD_TOL = 1e-9
 TRACE_TOL = 1e-9
 RANK_TOL_FACTOR = 1e-9
+# Largest pairwise cosine |<z_i, z_j>| / (|z_i| |z_j|) at which the columns
+# of a factor count as orthogonal. Then Z* Z = D^1/2 C D^1/2 for D the squared
+# column norms and C of unit diagonal, whose eigenvalues lie within
+# (k - 1) * ORTHO_TOL of 1 (Gershgorin); by Ostrowski's theorem the i-th
+# eigenvalue of Z Z* lies within a relative (k - 1) * ORTHO_TOL of the i-th
+# largest squared norm: 1.3e-10 at k = 128, far below the constructions'
+# spectrum tolerance 1e-8.
+ORTHO_TOL = 1e-12
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -67,13 +80,18 @@ def _explicit_dims(total: int, m: int | None, n: int | None) -> tuple[int, int]:
 
 
 def assert_hermitian(a: np.ndarray, tol: float = HERMIT_TOL) -> None:
-    """Raise unless A is finite, square, non-empty and max |A - A*| <= tol * max(1, max |A|)."""
+    """Raise unless A is finite, square, non-empty and max |A - A*| <= tol * max(1, max |A|).
+
+    Both sides are taken halved, max |A/2 - A*/2| against max(1, max |A|)/2,
+    which no finite entry overflows; halving is exact for normal numbers.
+    """
     _check_tolerance("tol", tol)
     if not np.isfinite(a).all():
         raise ValidationError("not-finite", "matrix has a non-finite entry")
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
         raise DimensionError(f"expected a non-empty square matrix, got shape {a.shape}")
-    defect = float(np.abs(a - a.conj().T).max()) / max(1.0, float(np.abs(a).max()))
+    half = a / 2.0
+    defect = float(np.abs(half - half.conj().T).max()) / max(0.5, float(np.abs(half).max()))
     if defect > tol:
         raise ValidationError(
             "not-hermitian", f"matrix is not Hermitian (relative defect {defect:.3e})"
@@ -94,13 +112,15 @@ class DensityMatrix:
     c entries, so ``matrix`` is ``V @ diag(w[:c]) @ V*`` up to the clipping.
     Both are descending. For a matrix they are in the order of
     :func:`hermitian_eig`, with exact ties kept in the solver's order (stable
-    sort). For a state validated from a d x k factor Z (``factor=Z``) they
-    come from the thin SVD of Z, ties in its order: ``eigenvectors`` is the
-    d x min(d, k) left singular basis, which spans the range, and the zeros
-    that pad the spectrum to length d have no eigenvector. ``rank`` is the
-    numerical rank at the construction tolerance, so the first ``rank``
-    eigenvalues are positive. Construct via :func:`validate_density`;
-    instances are immutable.
+    sort). For a state validated from a d x k factor Z (``factor=Z``),
+    ``eigenvectors`` is a d x min(d, k) orthonormal basis of the range, and
+    the zeros that pad the spectrum to length d have no eigenvector. If the
+    columns of Z are nonzero and pairwise orthogonal to ``ORTHO_TOL`` they
+    are that basis, normalised, under their squared norms, ties in column
+    order; otherwise both come from the thin SVD of Z, ties in its order.
+    ``rank`` is the numerical rank at the construction tolerance, so the
+    first ``rank`` eigenvalues are positive. Construct via
+    :func:`validate_density`; instances are immutable.
     """
 
     matrix: np.ndarray
@@ -200,6 +220,33 @@ def spectrum(a) -> np.ndarray:
     return w[_descending(w)]
 
 
+def _factor_eig(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Descending spectrum of Z Z*, zero-padded to length d, and a d x min(d, k) range basis.
+
+    Nonzero columns whose pairwise cosines are all at most ``ORTHO_TOL``
+    give both from the Gram ``Z* Z``; any other factor takes the thin SVD.
+    """
+    d, k = z.shape
+    w = np.zeros(d)
+    if k <= d:  # more than d columns cannot all be nonzero and orthogonal
+        gram = z.conj().T @ z
+        sq = gram.diagonal().real
+        if (sq > 0.0).all():
+            norm = np.sqrt(sq)
+            # divided by one norm at a time: the product of two tiny norms
+            # would underflow to 0. A NaN cosine (inf / inf) fails the test
+            # below
+            cos = np.abs(gram) / norm[:, None] / norm
+            np.fill_diagonal(cos, 0.0)
+            if (cos <= ORTHO_TOL).all():
+                order = np.argsort(-sq, kind="stable")
+                w[:k] = sq[order]
+                return w, z[:, order] / norm[order]
+    v, s, _ = np.linalg.svd(z, full_matrices=False)
+    w[:s.size] = s * s
+    return w, v
+
+
 def validate_density(
     a=None,
     hermit_tol: float = HERMIT_TOL,
@@ -212,10 +259,15 @@ def validate_density(
     """Validate finiteness / Hermiticity / positivity / unit trace and compute the numerical rank.
 
     Pass either the matrix ``a`` or, as ``factor=Z``, a factor of ``a = Z Z*``.
-    A d x k factor of any width takes one thin SVD, not an eigendecomposition
-    of the d x d matrix: the squared singular values padded with zeros to
-    length d, and the d x min(d, k) left singular basis. Z Z* is Hermitian
-    by construction, so ``hermit_tol`` applies to the matrix path only.
+    A d x k factor of any width takes no eigendecomposition of the d x d
+    matrix. If its columns are nonzero with every pairwise cosine at most
+    ``ORTHO_TOL`` (so k <= d), the spectrum is their squared norms sorted
+    descending, each within a relative (k - 1) * ``ORTHO_TOL`` of the exact
+    eigenvalue, and the basis the normalised columns. Any other factor takes
+    one thin SVD: the squared singular values and the d x min(d, k) left
+    singular basis. Either spectrum is padded with zeros to length d. Z Z*
+    is Hermitian by construction, so ``hermit_tol`` applies to the matrix
+    path only.
     """
     if (a is None) == (factor is None):
         raise TypeError("pass exactly one of a matrix and factor=")
@@ -234,9 +286,7 @@ def validate_density(
         # an entry or eigenvalue that overflows is inf (or NaN, from inf - inf)
         with np.errstate(over="ignore", invalid="ignore"):
             a = z @ z.conj().T
-            v, s, _ = np.linalg.svd(z, full_matrices=False)
-            w = np.zeros(z.shape[0])
-            w[:s.size] = s * s
+            w, v = _factor_eig(z)
         if not (np.isfinite(a).all() and np.isfinite(w).all()):
             raise ValidationError("not-finite", "Z Z* has a non-finite entry or eigenvalue")
     wmax = float(w[0])

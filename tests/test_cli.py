@@ -123,6 +123,17 @@ def test_validate_rejects_nan_entry(tmp_path, capsys):
     assert err["error"]["reason"] == "not-finite"
 
 
+def test_validate_rejects_overflowing_non_hermitian(tmp_path, capsys):
+    # A - A* would overflow: one JSON error and no RuntimeWarning
+    path = tmp_path / "skew.json"
+    path.write_text('{"rows": 2, "cols": 2, "entries": [[0.5, 0], [1e308, 0], [-1e308, 0], [0.5, 0]]}')
+    code, out, err = run_cli(capsys, "validate", str(path))
+    assert code == 3
+    assert out is None
+    assert err["error"]["type"] == "validation"
+    assert err["error"]["reason"] == "not-hermitian"
+
+
 def test_extreme_with_non_dividing_m(tmp_path, capsys):
     path = write(tmp_path, "six.json", fileio.matrix_to_doc(np.eye(6) / 6))
     code, out, err = run_cli(capsys, "extreme", path, "--m", "4")

@@ -109,12 +109,13 @@ class TestConstructRankK:
         assert state.rank == 16
         assert marginal_error(state, sigma.matrix) <= 1e-10
 
-    def test_widest_rank_takes_the_thin_svd(self, eig_calls):
-        # the rank-r*m state of a full-rank sigma has a square 8 x 8 factor
+    def test_widest_rank_is_read_off_the_columns(self, eig_calls, svd_calls):
+        # the rank-r*m state of a full-rank sigma has a square 8 x 8 factor,
+        # whose orthogonal columns give its spectrum and range basis
         sigma = qm.random_density(4, 4, seed=35)
         del eig_calls[:]
         state = qm.construct_rank_k(sigma, 2, 8)
-        assert eig_calls == []
+        assert eig_calls == svd_calls == []
         assert state.rank == 8
         assert marginal_error(state, sigma.matrix) <= 1e-10
 
@@ -259,24 +260,26 @@ class TestConstructWithSpectra:
         state = qm.construct_with_spectra(np.full(2, 0.5), np.full(6, 1 / 6), 3)
         assert_allclose(state.matrix, np.eye(6) / 6, atol=1e-10)
 
-    def test_marginal_is_diagonal_in_order(self, eig_calls):
+    def test_marginal_is_diagonal_in_order(self, eig_calls, svd_calls):
         lam = np.array([0.5, 0.3, 0.2])
         mu = np.array([0.4, 0.3, 0.1, 0.1, 0.1, 0.0, 0.0, 0.0, 0.0])
         del eig_calls[:]
         state = qm.construct_with_spectra(lam, mu, 3)
-        # the zeros of mu get no column: validated from the SVD of a 9 x 5 factor
-        assert eig_calls == []
+        # the zeros of mu get no column: validated from the column norms of
+        # a 9 x 5 factor, whose columns are orthogonal
+        assert eig_calls == svd_calls == []
         assert state.rank == 5
         assert_allclose(qm.partial_trace_first(state), np.diag(lam), atol=1e-10)
         assert np.abs(state.rho.eigenvalues - np.sort(mu)[::-1]).max() <= 1e-8
 
-    def test_full_rank_mu_takes_the_thin_svd(self, eig_calls):
+    def test_full_rank_mu_is_read_off_the_columns(self, eig_calls, svd_calls):
         lam = np.array([0.5, 0.3, 0.2])
         mu = np.array([0.2, 0.15, 0.15, 0.1, 0.1, 0.1, 0.08, 0.07, 0.05])
         del eig_calls[:]
         state = qm.construct_with_spectra(lam, mu, 3)
-        # every mu entry gets a column: a square 9 x 9 factor and no eigh
-        assert eig_calls == []
+        # every mu entry gets a column: a square 9 x 9 factor with orthogonal
+        # columns, and no eigh or SVD
+        assert eig_calls == svd_calls == []
         assert state.rank == 9
         assert_allclose(qm.partial_trace_first(state), np.diag(lam), atol=1e-10)
         assert np.abs(state.rho.eigenvalues - mu).max() <= 1e-8
@@ -474,6 +477,15 @@ class TestConstruct23:
 
 
 class TestNonextreme:
+    def test_takes_one_svd(self, svd_calls):
+        # the split first column is not orthogonal to its copy, so the
+        # member's factor takes the thin SVD, once
+        sigma = qm.random_density(4, 4, seed=37)
+        state = qm.nonextreme_of_rank_k(sigma, 2, 3)
+        assert svd_calls == ["svd"]
+        assert state.rank == 3
+        assert marginal_error(state, sigma.matrix) <= 1e-10
+
     def test_uniform_qutrit_rank3(self):
         sigma = qm.validate_density(np.eye(3) / 3)
         state = qm.nonextreme_of_rank_k(sigma, 2, 3)

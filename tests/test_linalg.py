@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -7,6 +9,7 @@ from numpy.testing import assert_allclose
 import qmarginal as qm
 from qmarginal import fileio, linalg
 from qmarginal.constructors import _factor, _lifted
+from qmarginal.linalg import ORTHO_TOL, _hermitian_part
 
 from helpers import haar_unitary, random_hermitian
 
@@ -197,11 +200,27 @@ class TestValidateDensity:
         ([[0.5, 1e308 + 1e308j], [1e308 - 1e308j, 0.5]], "not-psd"),  # spectrum +-1.4e308
         ([[1e308, 1e308], [1e308, 1e308]], "not-finite"),  # spectrum {2e308, 0}
         ([[1e308, 0.0], [0.0, 1e308]], "trace-not-one"),  # the trace overflows
+        ([[0.5, 1e308], [-1e308, 0.5]], "not-hermitian"),  # A - A* would overflow
+        # |A| and |A - A*| would both overflow, to a NaN defect that passed
+        ([[0.5, 1.5e308 + 1.5e308j], [-1.5e308 + 1.5e308j, 0.5]], "not-hermitian"),
     ])
     def test_entries_near_the_float_limit(self, a, reason):
         with pytest.raises(qm.ValidationError) as err:
             qm.validate_density(np.array(a))
         assert err.value.reason == reason
+
+    def test_hermitian_defect_keeps_its_bits(self):
+        # the defect is taken halved; at normal entries it equals
+        # max|A - A*| / max(1, max|A|) to the bit, so a tolerance set to that
+        # value passes and the next float below it fails
+        rng = qm.PortableRng(41)
+        for scale in (1e-3, 1.0, 7.0, 1e100, 1e300):
+            a = rng.complex_normal((5, 5)) * scale
+            a = _hermitian_part(a) + 1e-7 * scale * rng.complex_normal((5, 5))
+            defect = float(np.abs(a - a.conj().T).max()) / max(1.0, float(np.abs(a).max()))
+            linalg.assert_hermitian(a, defect)
+            with pytest.raises(qm.ValidationError, match="not Hermitian"):
+                linalg.assert_hermitian(a, np.nextafter(defect, 0.0))
 
     def test_empty_matrix(self):
         with pytest.raises(qm.DimensionError, match="non-empty"):
@@ -281,16 +300,44 @@ def assert_range_basis(dm, width: int, where=None) -> None:
     assert np.abs(rebuilt - dm.matrix).max() <= 1e-13, where
 
 
+def tilted_factor(d: int, k: int, seed: int) -> np.ndarray:
+    """Seeded d x k factor of unit Frobenius norm whose columns have pairwise
+    cosines up to 0.8 ORTHO_TOL and squared norms in ratios 1 : 4 : 9, with ties."""
+    rng = qm.PortableRng(seed)
+    q = np.linalg.qr(rng.complex_normal((d, k)))[0]
+    # |cos_ij| <= |E_ij| + |E_ji| + k max|E|^2 for columns of Q (I + E)
+    tilt = 0.4 * ORTHO_TOL * rng.uniform(k * k) * np.exp(2j * np.pi * rng.uniform(k * k))
+    tilt = tilt.reshape(k, k)
+    np.fill_diagonal(tilt, 0.0)
+    z = (q @ (np.eye(k) + tilt)) * (1.0 + np.floor(3.0 * rng.uniform(k)))
+    return z / np.linalg.norm(z)
+
+
+TINY = 1e-155  # a squared norm of 1e-310 is subnormal, and a product of two underflows to 0
+
+
+def tiny_factor(orthogonal: bool) -> np.ndarray:
+    z = np.zeros((3, 3), dtype=complex)
+    z[0, 0] = 1.0
+    z[1, 1] = TINY
+    z[1:, 2] = (0.0, TINY) if orthogonal else (TINY / np.sqrt(2.0), TINY / np.sqrt(2.0))
+    return z
+
+
 class TestFactorPath:
-    def test_matches_matrix_path_over_corpus(self):
+    def test_matches_matrix_path_over_corpus(self, svd_calls, eig_calls):
+        # every lifted factor has orthogonal columns: read off their norms,
+        # with no SVD and no eigendecomposition
         seen_thin = seen_square = False
         for m, n, k, z in lifted_factors():
             d = m * n
             seen_thin |= k < d
             seen_square |= k >= d
+            del svd_calls[:], eig_calls[:]
             fac = qm.validate_density(factor=z)
-            ref = qm.validate_density(z @ z.conj().T)
             where = (m, n, k)
+            assert svd_calls == eig_calls == [], where
+            ref = qm.validate_density(z @ z.conj().T)
             assert fac.matrix.tobytes() == ref.matrix.tobytes(), where
             assert fac.rank == ref.rank == k, where
             assert fac.eigenvalues.shape == (d,), where
@@ -298,11 +345,12 @@ class TestFactorPath:
             assert_range_basis(fac, min(d, k), where)
         assert seen_thin and seen_square
 
-    def test_square_factor_takes_the_thin_svd(self, eig_calls):
+    def test_square_factor_takes_the_thin_svd(self, eig_calls, svd_calls):
         z = qm.PortableRng(32).complex_normal((6, 6))
         z /= np.linalg.norm(z)
         dm = qm.validate_density(factor=z)
         assert eig_calls == []
+        assert svd_calls == ["svd"]
         ref = qm.validate_density(z @ z.conj().T)
         assert dm.rank == ref.rank == 6
         assert np.abs(dm.eigenvalues - ref.eigenvalues).max() <= 1e-14
@@ -325,6 +373,87 @@ class TestFactorPath:
         assert fac.eigenvalues.shape == (d,)
         assert np.abs(fac.eigenvalues - ref.eigenvalues).max() <= 1e-14
         assert_range_basis(fac, min(d, k))
+
+    @pytest.mark.parametrize("scale, svds", [(0.9, []), (1.1, ["svd"])], ids=["under", "over"])
+    def test_cosine_at_the_tolerance(self, svd_calls, scale, svds):
+        # columns e0, e1 + c e0 and e2, whose one cosine c / sqrt(1 + c^2) is c
+        c = scale * ORTHO_TOL
+        z = np.eye(3, dtype=complex)
+        z[0, 1] = c
+        z /= np.linalg.norm(z)
+        dm = qm.validate_density(factor=z)
+        assert svd_calls == svds
+        ref = qm.validate_density(z @ z.conj().T)
+        assert dm.matrix.tobytes() == ref.matrix.tobytes()
+        assert dm.rank == ref.rank == 3
+        assert np.abs(dm.eigenvalues - ref.eigenvalues).max() <= 2 * ORTHO_TOL * ref.eigenvalues[0]
+        v = dm.eigenvectors
+        assert np.abs(v.conj().T @ v - np.eye(3)).max() <= 1.1 * ORTHO_TOL
+        assert np.abs((v * dm.eigenvalues) @ v.conj().T - dm.matrix).max() <= 1e-16
+
+    def test_diagonal_mixture_sorts_its_columns(self, svd_calls):
+        # k = 5 > r = 3: column t carries d[t mod 3] / share, so the squared
+        # norms are 0.25, 0.15, 0.2, 0.25, 0.15, unsorted with two ties
+        z = _factor(np.array([0.5, 0.3, 0.2]), 3, 2, 5)
+        dm = qm.validate_density(factor=z)
+        assert svd_calls == []
+        assert_allclose(dm.eigenvalues, [0.25, 0.25, 0.2, 0.15, 0.15, 0.0], rtol=0, atol=1e-16)
+        order = [0, 3, 2, 1, 4]  # descending, ties in column order
+        expected = z[:, order] / np.linalg.norm(z[:, order], axis=0)
+        assert np.abs(dm.eigenvectors - expected).max() <= 1e-16
+        assert dm.rank == 5
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.integers(1, 16).flatmap(lambda d: st.tuples(
+        st.just(d), st.integers(1, d), st.integers(0, 2**32 - 1))))
+    def test_tilted_columns_within_the_stated_bound(self, svd_calls, case):
+        # each eigenvalue lies within a relative (k - 1) ORTHO_TOL of the
+        # squared norm read off in its place (Ostrowski), plus the rounding
+        # of the matrix path's eigh
+        d, k, seed = case
+        z = tilted_factor(d, k, seed)
+        del svd_calls[:]
+        fac = qm.validate_density(factor=z)
+        assert svd_calls == []
+        ref = qm.validate_density(z @ z.conj().T)
+        assert fac.matrix.tobytes() == ref.matrix.tobytes()
+        assert fac.rank == ref.rank == k
+        bound = (k - 1) * ORTHO_TOL * ref.eigenvalues + 1e-14
+        assert (np.abs(fac.eigenvalues - ref.eigenvalues) <= bound).all()
+        v = fac.eigenvectors
+        assert v.shape == (d, k)
+        assert np.abs(v.conj().T @ v - np.eye(k)).max() <= ORTHO_TOL
+        assert np.abs((v * fac.eigenvalues[:k]) @ v.conj().T - fac.matrix).max() <= 1e-15
+
+    # the column norms and cosines are taken without a numpy warning: tiny
+    # columns whose product of squared norms underflows, a zero column, and
+    # overflowing ones. An inf squared norm is read off as an eigenvalue and
+    # refused; a NaN one (inf - inf in the complex Gram) or a NaN cosine of
+    # two inf norms takes the SVD
+    @pytest.mark.parametrize("z, svds, reason", [
+        (tiny_factor(orthogonal=True), [], None),
+        (tiny_factor(orthogonal=False), ["svd"], None),
+        (np.array([[1.0, 0.0], [0.0, 0.0]]), ["svd"], None),
+        (np.array([[1.0, 1e-170], [0.0, 1e-170]]), ["svd"], None),  # squared norm underflows to 0
+        (np.full((2, 1), 1e160), [], "not-finite"),
+        (np.full((2, 1), 1e160 + 1e160j), ["svd"], "not-finite"),
+        (np.full((2, 1), 1.2e154), [], "not-finite"),
+        (np.full((2, 2), 1e160), ["svd"], "not-finite"),
+    ], ids=["tiny-orthogonal", "tiny-dependent", "zero-column", "underflowing-column",
+            "overflow-1e160", "overflow-complex", "overflow-1.2e154", "overflow-pair"])
+    def test_path_choice_warns_nothing(self, svd_calls, z, svds, reason):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if reason is None:
+                dm = qm.validate_density(factor=z)
+                assert dm.rank == 1
+                assert dm.eigenvalues[0] == 1.0
+            else:
+                with pytest.raises(qm.ValidationError) as err:
+                    qm.validate_density(factor=z)
+                assert err.value.reason == reason
+        assert svd_calls == svds
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
     def test_not_finite_factor(self, bad):
