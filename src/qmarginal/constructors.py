@@ -1,18 +1,17 @@
 """Explicit constructions of bipartite states with prescribed marginals.
 
-Every low-rank construction is a factor ``Z0`` of k columns over
-diag(d), the eigenvalues of the target marginal sigma = V diag(d) V*,
-where it is a sparse exact formula. It is lifted by ``I_m (x) V`` to
-``Z`` and the state is ``rho = Z Z*``: rank k by construction, with first
-marginal sigma. The state is validated from ``Z`` itself, whatever its
-width k (see ``linalg.validate_density``): the columns of a lifted
-``_factor`` are orthogonal, so their squared norms are its spectrum and
-no decomposition is taken; the split factor of ``nonextreme_of_rank_k``
-takes the thin SVD. The spectra-prescribed construction is a closed-form
-factor with orthogonal columns too. The
-(2, 3) construction is a dense direct sum of two singletons and two 2x2
-gadgets, found by one scan of a constant table of assignments and
-validated once.
+Every member of S(sigma) built here, of every rank, non-extreme or
+optimal, is rho = Z Z* for one lifted factor from ``_factor``: a sparse
+exact formula ``Z0`` of k columns over the eigenvalues of the target
+marginal sigma = V diag(d) V*, lifted by ``I_m (x) V`` to ``Z``. Its
+columns are orthogonal, so the state is validated from them (see
+``linalg.validate_density``): their squared norms are its spectrum and
+no decomposition is taken. The non-extreme member splits one column of
+such a factor along first-factor slots, which keeps the columns
+orthogonal. The spectra-prescribed construction is a closed-form factor
+with orthogonal columns too. The (2, 3) construction is a dense direct
+sum of two singletons and two 2x2 gadgets, found by one scan of a
+constant table of assignments and validated once.
 """
 
 from __future__ import annotations
@@ -58,46 +57,36 @@ class ApproxResult:
     norms: dict[float, float]
 
 
-def _factor(d: np.ndarray, n: int, m: int, k: int) -> np.ndarray:
-    """(m*n, k) factor Z0 with Z0 Z0* of rank k and first marginal diag(d).
+def _factor(sigma: DensityMatrix, m: int, k: int) -> tuple[np.ndarray, float]:
+    """Lifted (m*n, k) factor Z = (I_m (x) V) Z0 of a rank-k state, and its shift.
 
-    Needs ceil(r/m) <= k <= r*m for r = len(d). Entry t of max(r, k) puts
-    weight d[t mod r] into column t mod k at first-factor slot t // min(r, k).
-    For k <= r column j superposes the weights j, j+k, ... across slots; for
-    k > r (a diagonal mixture) weight d[l] is shared evenly by the one-entry
-    columns that carry it. No two entries share a row, so the columns are
-    orthogonal, and each block on the diagonal is diagonal, so the partial
-    trace sums to diag(d).
+    sigma = V diag(lam) V*. Z0 carries d, the top m*k entries of lam over
+    the rank cutoff, each raised by shift = (sum of the rest) / (m*k) so the
+    trace stays one; the shift is 0.0 when m*k >= rank, and then Z Z* has
+    first marginal sigma. Entry t of max(len(d), k) puts weight
+    d[t mod len(d)] into column t mod k at first-factor slot
+    t // min(len(d), k): for k <= len(d) column j superposes the weights
+    j, j+k, ... across slots; for k > len(d) (a diagonal mixture) weight d[l]
+    is shared evenly by the one-entry columns that carry it. No two entries
+    share a row, so the columns are orthogonal, and each block on the
+    diagonal is diagonal, so the partial trace of Z Z* is V diag(d) V*.
     """
-    r = d.size
-    t = np.arange(max(r, k))
-    comp, col = t % r, t % k
-    share = np.bincount(comp)[comp]
-    z0 = np.zeros((m * n, k), dtype=complex)
-    z0[t // min(r, k) * n + comp, col] = np.sqrt(d[comp] / share)
-    return z0
-
-
-def _lifted(z0: np.ndarray, sigma: DensityMatrix, m: int) -> np.ndarray:
-    """Z = (I_m (x) V) Z0, where sigma = V diag(d) V*; Z0 is zero past row
-    rank(sigma) of each block, so V may hold only the range of sigma."""
     n, v = sigma.dim, sigma.eigenvectors
-    return (v @ z0.reshape(m, n, -1)[:, : v.shape[1]]).reshape(m * n, -1)
-
-
-def _lift(z0: np.ndarray, sigma: DensityMatrix, m: int) -> BipartiteState:
-    """The state Z Z* for Z = (I_m (x) V) Z0, where sigma = V diag(d) V*, validated from Z."""
-    return bipartite(None, m, sigma.dim, factor=_lifted(z0, sigma, m))
+    lam = sigma.eigenvalues[: sigma.rank]
+    mk = m * k
+    shift = float(lam[mk:].sum() / mk)
+    d = lam[:mk] + shift
+    t = np.arange(max(d.size, k))
+    comp, col = t % d.size, t % k
+    share = np.bincount(comp)[comp]
+    z0 = np.zeros((m, n, k), dtype=complex)
+    z0[t // min(d.size, k), comp, col] = np.sqrt(d[comp] / share)
+    # Z0 is zero past row rank(sigma) of each block, so V may hold only the range
+    return (v @ z0[:, : v.shape[1]]).reshape(m * n, k), shift
 
 
 def purify(sigma: DensityMatrix, m: int) -> BipartiteState:
     """Rank-one state on an (m, n) system with first marginal sigma; needs m >= rank."""
-    _positive("m", m)
-    r = sigma.rank
-    if m < r:
-        raise InfeasibleError(
-            f"purification needs first-factor dim >= rank: m={m} < rank={r}"
-        )
     return construct_rank_k(sigma, m, 1)
 
 
@@ -113,7 +102,7 @@ def construct_rank_k(sigma: DensityMatrix, m: int, k: int) -> BipartiteState:
         raise InfeasibleError(
             f"rank {k} not attainable with marginal rank {r} and m={m}; range is [{lo}, {hi}]"
         )
-    return _lift(_factor(sigma.eigenvalues[:r], sigma.dim, m, k), sigma, m)
+    return bipartite(None, m, sigma.dim, factor=_factor(sigma, m, k)[0])
 
 
 def optimal_low_rank(
@@ -130,11 +119,8 @@ def optimal_low_rank(
     exact = exact_low_rank_exists(r, m, k)
     # an exact approximation takes the least rank ceil(r/m), with no shift
     k = min(k, element_rank_range(r, m).k_min)
-    lam = sigma.eigenvalues[:r]
-    mk = m * k
-    mu_shift = float(lam[mk:].sum() / mk)
-    # the mk boosted weights, spread over k columns of m slots each
-    state = _lift(_factor(lam[:mk] + mu_shift, sigma.dim, m, k), sigma, m)
+    z, mu_shift = _factor(sigma, m, k)
+    state = bipartite(None, m, sigma.dim, factor=z)
     achieved = partial_trace_first(state)
     resid_spec = np.linalg.eigvalsh(_hermitian_part(sigma.matrix - achieved))[::-1].copy()
     # ascending order, as schatten_norm sums them
@@ -342,10 +328,14 @@ def _assemble_23(d, a, b) -> np.ndarray:
 def nonextreme_of_rank_k(sigma: DensityMatrix, m: int, k: int) -> BipartiteState:
     """A rank-k member with first marginal sigma that is NOT an extreme point.
 
-    Built from the rank-(k-1) construction by splitting its first vector
-    into two halves whose folded outer products coincide, which makes the
-    factor-product family linearly dependent. Needs ceil(r/m) < k <= r;
-    every member at the minimum rank is extreme, so none exists there.
+    Built from the rank-(k-1) factor by splitting its first column c into
+    a, its first-factor slot-0 block, and b, the rest. a a* + b b* is
+    (c c* + c' c'*) / 2 for c' = b - a, so the marginal is kept. The folds
+    of a and b have disjoint columns, so [a][b]* = 0 and the family of
+    factor products is linearly dependent. a, b and the other columns sit
+    on disjoint rows of Z0, so the factor keeps orthogonal columns. Needs
+    ceil(r/m) < k <= r; every member at the minimum rank is extreme, so
+    none exists there.
     """
     _positive("m", m)
     _positive("k", k)
@@ -356,8 +346,9 @@ def nonextreme_of_rank_k(sigma: DensityMatrix, m: int, k: int) -> BipartiteState
             f"non-extreme members of rank {k} need ceil(r/m) < k <= r, "
             f"i.e. {lo} < k <= {hi}"
         )
-    z0 = _factor(sigma.eigenvalues[:r], sigma.dim, m, k - 1)
-    z1 = z0[:, :1] / np.sqrt(2.0)
-    zk = z1.copy()
-    zk[: sigma.dim] *= -1.0  # flip the first-factor slot 0
-    return _lift(np.hstack([z1, zk, z0[:, 1:]]), sigma, m)
+    n = sigma.dim
+    z, _ = _factor(sigma, m, k - 1)
+    ab = np.zeros((m * n, 2), dtype=complex)
+    ab[:n, 0] = z[:n, 0]  # a: the first-factor slot-0 block of column 0
+    ab[n:, 1] = z[n:, 0]  # b: the rest of it
+    return bipartite(None, m, n, factor=np.hstack([ab, z[:, 1:]]))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .constructors import _factor, _lifted
+from .constructors import _factor
 from .errors import DomainError
 from .feasibility import element_rank_range
 from .kernels import PortableRng
@@ -63,7 +63,7 @@ def random_state_with_marginal(
     parts = []
     for t in range(cfg.mix_components):
         k = lo + rng.index(hi - lo + 1)
-        z = _lifted(_factor(sigma.eigenvalues[:r], n, m, k), sigma, m)
+        z, _ = _factor(sigma, m, k)
         u = random_unitary(m, rng)
         # (U (x) I_n) Z is u @ Z.reshape(m, -1)
         parts.append(np.sqrt(weights[t]) * (u @ z.reshape(m, -1)).reshape(m * n, k))

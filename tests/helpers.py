@@ -188,3 +188,26 @@ def ref_census_spectra(m, n, trials, seed, start=0, batch=1024):
         lam[done:done + c] = np.linalg.eigvalsh(red)[:, ::-1]
         done += c
     return lam, mu
+
+
+# ---------------------------------------------------------------------------
+# Reference non-extreme factor: the two-halves factor nonextreme_of_rank_k had
+# before it split by first-factor slot. Its first two columns c/sqrt(2) and
+# c'/sqrt(2), c' being c with slot 0 negated, give the same state in exact
+# arithmetic; the library must match it to rounding.
+# ---------------------------------------------------------------------------
+
+
+def ref_nonextreme_factor(sigma, m, k):
+    r, n, v = sigma.rank, sigma.dim, sigma.eigenvectors
+    d = sigma.eigenvalues[:r]
+    t = np.arange(max(r, k - 1))
+    comp, col = t % r, t % (k - 1)
+    share = np.bincount(comp)[comp]
+    z0 = np.zeros((m * n, k - 1), dtype=complex)
+    z0[t // min(r, k - 1) * n + comp, col] = np.sqrt(d[comp] / share)
+    z1 = z0[:, :1] / np.sqrt(2.0)
+    zk = z1.copy()
+    zk[:n] *= -1.0
+    z0 = np.hstack([z1, zk, z0[:, 1:]])
+    return (v @ z0.reshape(m, n, -1)[:, : v.shape[1]]).reshape(m * n, -1)

@@ -9,7 +9,8 @@ from qmarginal import kernels
 from qmarginal.constructors import _gadget_offdiag
 from qmarginal.majorization import lp_norm
 
-from helpers import band_edge_pairs, haar_unitary, random_prob_vector, sigma_corpus, t_transform_mix
+from helpers import (band_edge_pairs, haar_unitary, random_prob_vector, ref_nonextreme_factor,
+                     sigma_corpus, t_transform_mix)
 
 
 def marginal_error(state, sigma_matrix):
@@ -477,12 +478,14 @@ class TestConstruct23:
 
 
 class TestNonextreme:
-    def test_takes_one_svd(self, svd_calls):
-        # the split first column is not orthogonal to its copy, so the
-        # member's factor takes the thin SVD, once
+    def test_takes_no_decomposition(self, svd_calls, eig_calls):
+        # the slot split keeps the columns orthogonal, so the member is
+        # validated from its column norms
         sigma = qm.random_density(4, 4, seed=37)
+        svd_calls.clear()
+        eig_calls.clear()
         state = qm.nonextreme_of_rank_k(sigma, 2, 3)
-        assert svd_calls == ["svd"]
+        assert svd_calls == eig_calls == []
         assert state.rank == 3
         assert marginal_error(state, sigma.matrix) <= 1e-10
 
@@ -510,6 +513,12 @@ class TestNonextreme:
                     assert state.rank == k, (sigma.dim, sigma.rank, m, k)
                     assert marginal_error(state, sigma.matrix) <= 1e-10
                     assert not qm.is_extreme(state).is_extreme, (sigma.dim, sigma.rank, m, k)
+                    # the same state as the two-halves factor it replaced
+                    ref = qm.bipartite(None, m, sigma.dim,
+                                       factor=ref_nonextreme_factor(sigma, m, k))
+                    assert np.abs(state.matrix - ref.matrix).max() <= 1e-15
+                    assert ref.rank == k
+                    assert not qm.is_extreme(ref).is_extreme
                     built += 1
         assert built == 83
 
@@ -517,6 +526,28 @@ class TestNonextreme:
         sigma = qm.validate_density(np.eye(3) / 3)
         with pytest.raises(qm.InfeasibleError):
             qm.nonextreme_of_rank_k(sigma, 2, 2)
+
+
+def test_lifted_members_take_no_decomposition(svd_calls, eig_calls):
+    # every member built from the one lifted factor is validated from its
+    # column norms: no SVD and no eigensolver, at every rank over the corpus
+    corpus = sigma_corpus(max_n=6)
+    svd_calls.clear()
+    eig_calls.clear()
+    built = 0
+    for sigma in corpus:
+        r = sigma.rank
+        qm.purify(sigma, r)
+        for m in range(1, 5):
+            lo, hi = qm.element_rank_range(r, m)
+            for k in range(lo, hi + 1):
+                qm.construct_rank_k(sigma, m, k)
+                built += 1
+            for k in range(lo + 1, r + 1):
+                qm.nonextreme_of_rank_k(sigma, m, k)
+                built += 1
+    assert svd_calls == eig_calls == []
+    assert built == 576
 
 
 @pytest.mark.parametrize("build", [

@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 
 import qmarginal as qm
 from qmarginal import fileio, linalg
-from qmarginal.constructors import _factor, _lifted
+from qmarginal.constructors import _factor
 from qmarginal.linalg import ORTHO_TOL, _hermitian_part
 
 from helpers import haar_unitary, random_hermitian
@@ -270,7 +270,7 @@ def lifted_factors():
             sigma = qm.random_density(n, r, seed=seed)
             lo, hi = qm.element_rank_range(r, m)
             for k in range(lo, hi + 1):
-                yield m, n, k, _lifted(_factor(sigma.eigenvalues[:r], n, m, k), sigma, m)
+                yield m, n, k, _factor(sigma, m, k)[0]
 
 
 def spread_factor(d: int, k: int, seed: int) -> np.ndarray:
@@ -394,7 +394,7 @@ class TestFactorPath:
     def test_diagonal_mixture_sorts_its_columns(self, svd_calls):
         # k = 5 > r = 3: column t carries d[t mod 3] / share, so the squared
         # norms are 0.25, 0.15, 0.2, 0.25, 0.15, unsorted with two ties
-        z = _factor(np.array([0.5, 0.3, 0.2]), 3, 2, 5)
+        z, _ = _factor(qm.validate_density(np.diag([0.5, 0.3, 0.2])), 2, 5)
         dm = qm.validate_density(factor=z)
         assert svd_calls == []
         assert_allclose(dm.eigenvalues, [0.25, 0.25, 0.2, 0.15, 0.15, 0.0], rtol=0, atol=1e-16)
