@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    DomainError,
     InfeasibleError,
     InternalInvariantError,
     PreconditionError,
@@ -196,7 +197,10 @@ def construct_with_spectra(lam, mu, m: int) -> BipartiteState:
     off-diagonal marginal entry (which needs m >= n). Column j*n + k
     carries b = mu[k*m + j] of the descending mu; only the columns with
     b > 0 are kept. Both spectra must be probability vectors; anything else
-    raises DomainError.
+    raises DomainError. An entry of mu in [-MAJ_TOL, 0) is set to 0 and its
+    mass moved onto the largest entry of its m-block, which keeps every
+    block sum, and so the trace and the marginal. If that largest entry
+    would turn negative or move by SPECTRUM_TOL or more, DomainError.
     """
     _positive("m", m)
     lam = np.array(_sorted_desc(lam, "lambda"))
@@ -206,12 +210,22 @@ def construct_with_spectra(lam, mu, m: int) -> BipartiteState:
             f"spectra-prescribed construction needs m >= n, got m={m} < n={n}"
         )
     blocks = np.array(_sorted_desc(mu, "mu", length=m * n)).reshape(n, m)
+    low = blocks < 0.0
+    if low.any():
+        shift = np.where(low, blocks, 0.0).sum(axis=1)
+        blocks[low] = 0.0
+        blocks[:, 0] += shift
+        if not ((blocks[:, 0] >= 0.0).all() and (shift > -SPECTRUM_TOL).all()):
+            raise DomainError(
+                f"mu's negative entries cannot move onto the largest of their {m}-block: "
+                f"block sums {blocks.sum(axis=1).tolist()}, moved mass {shift.tolist()}"
+            )
     u = horn_unitary(blocks.sum(axis=1), lam)  # PreconditionError unless majorized
     j = np.arange(m)
     f = np.exp(2j * np.pi * np.outer(j, j) / m) / np.sqrt(m)
     phases = np.exp(2j * np.pi * np.outer(j, np.arange(1, n + 1)) / m).reshape(-1)
     b = blocks.T.reshape(-1)
-    keep = b > 0.0  # mu may hold entries in [-MAJ_TOL, 0), which get no column
+    keep = b > 0.0  # zero entries get no column
     z = np.kron(f.conj().T, u.conj().T)[:, keep] * np.sqrt(b[keep])
     return bipartite(None, m, n, factor=phases.conj()[:, None] * z)
 

@@ -43,12 +43,6 @@ RANK_TOL_FACTOR = 1e-9
 ORTHO_TOL = 1e-12
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    out = np.array(a)
-    out.setflags(write=False)
-    return out
-
-
 def _check_tolerance(name: str, value: float) -> None:
     if not 0 <= value < math.inf:  # NaN fails both comparisons
         raise DomainError(f"{name} must be finite and >= 0, got {value!r}")
@@ -120,7 +114,8 @@ class DensityMatrix:
     order; otherwise both come from the thin SVD of Z, ties in its order.
     ``rank`` is the numerical rank at the construction tolerance, so the
     first ``rank`` eigenvalues are positive. Construct via
-    :func:`validate_density`; instances are immutable.
+    :func:`validate_density`; instances are immutable, and their read-only
+    arrays share no memory with the caller's matrix or factor.
     """
 
     matrix: np.ndarray
@@ -220,16 +215,17 @@ def spectrum(a) -> np.ndarray:
     return w[_descending(w)]
 
 
-def _factor_eig(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _factor_eig(z: np.ndarray, zc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Descending spectrum of Z Z*, zero-padded to length d, and a d x min(d, k) range basis.
 
-    Nonzero columns whose pairwise cosines are all at most ``ORTHO_TOL``
-    give both from the Gram ``Z* Z``; any other factor takes the thin SVD.
+    ``zc`` is ``Z.conj()``. Nonzero columns whose pairwise cosines are all
+    at most ``ORTHO_TOL`` give both from the Gram ``Z* Z``; any other factor
+    takes the thin SVD.
     """
     d, k = z.shape
     w = np.zeros(d)
     if k <= d:  # more than d columns cannot all be nonzero and orthogonal
-        gram = z.conj().T @ z
+        gram = zc.T @ z
         sq = gram.diagonal().real
         if (sq > 0.0).all():
             norm = np.sqrt(sq)
@@ -275,7 +271,7 @@ def validate_density(
                       ("trace_tol", trace_tol), ("rank_tol_factor", rank_tol_factor)):
         _check_tolerance(name, tol)
     if factor is None:
-        a = np.asarray(a, dtype=complex)
+        a = np.array(a, dtype=complex)  # the state's own copy of the caller's matrix
         w, v = hermitian_eig(a, hermit_tol)
     else:
         z = np.asarray(factor, dtype=complex)
@@ -285,8 +281,9 @@ def validate_density(
             raise ValidationError("not-finite", "factor has a non-finite entry")
         # an entry or eigenvalue that overflows is inf (or NaN, from inf - inf)
         with np.errstate(over="ignore", invalid="ignore"):
-            a = z @ z.conj().T
-            w, v = _factor_eig(z)
+            zc = z.conj()
+            a = z @ zc.T
+            w, v = _factor_eig(z, zc)
         if not (np.isfinite(a).all() and np.isfinite(w).all()):
             raise ValidationError("not-finite", "Z Z* has a non-finite entry or eigenvalue")
     wmax = float(w[0])
@@ -300,12 +297,11 @@ def validate_density(
     if abs(tr - 1.0) > trace_tol:
         raise ValidationError("trace-not-one", f"trace is {tr!r}, expected 1")
     rank = int(np.sum(w > rank_tol_factor * max(wmax, 0.0)))
-    return DensityMatrix(
-        matrix=_freeze(a),
-        eigenvalues=_freeze(np.maximum(w, 0.0)),  # stored density spectra are nonnegative
-        eigenvectors=_freeze(v),
-        rank=rank,
-    )
+    w = np.maximum(w, 0.0)  # stored density spectra are nonnegative
+    # a, w and v are new arrays, none a view of the caller's: freeze them in place
+    for arr in (a, w, v):
+        arr.setflags(write=False)
+    return DensityMatrix(matrix=a, eigenvalues=w, eigenvectors=v, rank=rank)
 
 
 def bipartite(a, m: int, n: int, *, factor=None) -> BipartiteState:

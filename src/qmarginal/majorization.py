@@ -84,12 +84,22 @@ def schatten_norm(a, p: float) -> float:
 
 
 def lp_norm(values, p: float) -> float:
-    """l_p norm of a real vector for p in [1, inf]."""
+    """l_p norm of a real vector for p in [1, inf].
+
+    Only a power sum that overflows is taken again over v / max(v) and the
+    norm scaled back, so a representable norm stays finite and one beyond
+    the float range is inf, with no numpy warning; every other norm keeps
+    the bits of the unscaled sum.
+    """
     _require_norm_p(p)
     v = np.abs(np.asarray(values, dtype=float))
     if v.size == 0:
         return 0.0
-    return float(_lp_root(_lp_power_sums(v, p), p))
+    with np.errstate(over="ignore"):
+        s = _lp_power_sums(v, p)
+    if s == np.inf and (top := float(v.max())) < np.inf:  # the sum overflowed, not an entry
+        return top * float(_lp_root(_lp_power_sums(v / top, p), p))  # Python floats: no warning
+    return float(_lp_root(s, p))
 
 
 def _require_norm_p(p: float) -> None:

@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 import qmarginal as qm
 from qmarginal import kernels
 from qmarginal.constructors import _gadget_offdiag
-from qmarginal.majorization import lp_norm
+from qmarginal.majorization import MAJ_TOL, lp_norm
 
 from helpers import (band_edge_pairs, haar_unitary, random_prob_vector, ref_nonextreme_factor,
                      sigma_corpus, t_transform_mix)
@@ -244,11 +244,39 @@ class TestHornUnitary:
 
 class TestConstructWithSpectra:
     def test_qubit_pair(self):
-        # mu may hold entries in [-MAJ_TOL, 0): such an entry gets no factor column
+        # mu may hold entries in [-MAJ_TOL, 0): such an entry's mass moves onto
+        # the largest entry of its block, here 5e-11 -> 0, and a zero gets no column
         for mu in ([0.5, 0.5, 0.0, 0.0], [0.5, 0.5, 5e-11, -5e-11]):
             state = qm.construct_with_spectra([0.5, 0.5], mu, 2)
             assert_allclose(state.rho.eigenvalues, [0.5, 0.5, 0.0, 0.0], atol=1e-8)
             assert_allclose(qm.partial_trace_first(state), np.eye(2) / 2, atol=1e-10)
+
+    def test_negative_entries_keep_their_mass(self):
+        # up to m - 1 entries in [-MAJ_TOL, 0) sit in the last m-block, whose
+        # largest entry absorbs their mass: no mass leaves the trace or the
+        # marginal, and mu moves by far less than the spectrum tolerance
+        rng = qm.PortableRng(29)
+        for _ in range(40):
+            n = 1 + rng.index(4)
+            m = max(n, 2) + rng.index(4)
+            count = 1 + rng.index(m - 1)
+            neg = -MAJ_TOL * (1.0 - rng.uniform(count))
+            pos = random_prob_vector(m * n - count, rng) * (1.0 - neg.sum())
+            mu = np.concatenate([pos, neg])
+            lam = t_transform_mix(mu.reshape(n, m).sum(axis=1), rng)
+            state = qm.construct_with_spectra(lam, mu, m)
+            assert abs(np.trace(state.matrix).real - mu.sum()) <= 1e-12
+            assert np.abs(qm.partial_trace_first(state) - np.diag(lam)).max() <= 1e-10
+            assert np.abs(state.rho.eigenvalues - np.sort(mu)[::-1]).max() <= 1e-8
+
+    @pytest.mark.parametrize("m, n, count", [(8, 4, 20), (16, 2, 20), (2, 2, 2)])
+    def test_negative_block_is_refused(self, m, n, count):
+        # a whole m-block in [-MAJ_TOL, 0) has no positive entry to take its
+        # mass, and dropping it would leave the trace and the marginal
+        mu = np.concatenate([np.full(m * n - count, (1 + count * 1e-10) / (m * n - count)),
+                             np.full(count, -1e-10)])
+        with pytest.raises(qm.DomainError, match="largest of their"):
+            qm.construct_with_spectra(np.full(n, 1 / n), mu, m)
 
     def test_pure_marginal_gives_tensor(self):
         xi = [0.6, 0.4]

@@ -552,3 +552,27 @@ class TestRandomDensity:
     def test_rank_out_of_range(self):
         with pytest.raises(qm.InfeasibleError):
             qm.random_density(3, 4, seed=0)
+
+
+@pytest.mark.parametrize("path, make, svd", [
+    ("a", lambda: qm.random_density(4, 3, seed=19).matrix.copy(), False),
+    ("a", lambda: np.eye(3) / 3, False),  # real: converted on entry
+    ("factor", lambda: _factor(qm.random_density(4, 3, seed=19), 2, 2)[0], False),
+    ("factor", lambda: spread_factor(6, 4, 19), True),
+    ("factor", lambda: spread_factor(4, 7, 20), True),  # wider than tall
+], ids=["matrix", "real-matrix", "orthogonal-factor", "thin-svd-factor", "wide-factor"])
+def test_state_owns_its_arrays(path, make, svd, svd_calls):
+    # every array of a state is read-only and shares no memory with the
+    # caller's matrix or factor, so writing to that leaves the state as it was
+    given = make()
+    dm = qm.validate_density(**{path: given})
+    assert (svd_calls != []) == svd
+    arrays = (dm.matrix, dm.eigenvalues, dm.eigenvectors)
+    before = [x.tobytes() for x in arrays]
+    for x in arrays:
+        assert not x.flags.writeable
+        assert not np.shares_memory(x, given)
+        with pytest.raises(ValueError, match="read-only"):
+            x[0] = 0.0
+    given[...] = 7.0
+    assert [x.tobytes() for x in arrays] == before

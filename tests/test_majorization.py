@@ -152,3 +152,36 @@ def test_lp_norm_general_p():
 def test_lp_norm_rejects_nan_p():
     with pytest.raises(qm.DomainError):
         lp_norm([3.0, -4.0], float("nan"))
+
+
+@pytest.mark.parametrize("values, p, want", [
+    ([1e308, -1e308], 2, math.sqrt(2) * 1e308),
+    ([1e308] * 3, 2, math.sqrt(3) * 1e308),
+    ([1e200] * 4, 3, 4 ** (1 / 3) * 1e200),
+    ([1e308, 1e-300], 1.5, 1e308),
+    ([1e308] * 2, 1, math.inf),
+    ([1e308] * 4, 2, math.inf),
+    ([1e308] * 9, 2.5, math.inf),
+])
+def test_lp_norm_power_sum_overflow(values, p, want):
+    # the power sum overflows: a representable norm is finite, one beyond
+    # the float range inf, and neither warns (warnings are errors here)
+    assert lp_norm(values, p) == pytest.approx(want, rel=1e-15)
+
+
+def test_schatten_norm_power_sum_overflow():
+    assert qm.schatten_norm(np.diag([1e308, -1e308]), 2) == pytest.approx(math.sqrt(2) * 1e308,
+                                                                         rel=1e-15)
+
+
+def test_lp_norm_keeps_the_unscaled_bits():
+    # a power sum that does not overflow is never rescaled
+    rng = qm.PortableRng(82)
+    for _ in range(50):
+        v = (rng.uniform(1 + rng.index(12)) - 0.5) * 10.0 ** (rng.index(200) - 100)
+        a = np.abs(v)
+        assert lp_norm(v, 1) == float(a.sum())
+        assert lp_norm(v, 2) == float(np.sqrt((a * a).sum()))
+        assert lp_norm(v, 3) == float((a ** 3).sum() ** (1 / 3))
+        assert lp_norm(v, 1.7) == float((a ** 1.7).sum() ** (1 / 1.7))
+        assert lp_norm(v, np.inf) == float(a.max())
