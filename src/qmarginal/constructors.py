@@ -199,8 +199,11 @@ def construct_with_spectra(lam, mu, m: int) -> BipartiteState:
     b > 0 are kept. Both spectra must be probability vectors; anything else
     raises DomainError. An entry of mu in [-MAJ_TOL, 0) is set to 0 and its
     mass moved onto the largest entry of its m-block, which keeps every
-    block sum, and so the trace and the marginal. If that largest entry
-    would turn negative or move by SPECTRUM_TOL or more, DomainError.
+    block sum, and so the trace and the marginal. A block whose largest
+    entry would turn negative (a zero block behind rounding noise) moves
+    the mass instead onto the largest entry of the last block that can
+    take it: the trace stays, and two block sums move by that mass. If
+    an entry would move by SPECTRUM_TOL or more, DomainError.
     """
     _positive("m", m)
     lam = np.array(_sorted_desc(lam, "lambda"))
@@ -214,12 +217,17 @@ def construct_with_spectra(lam, mu, m: int) -> BipartiteState:
     if low.any():
         shift = np.where(low, blocks, 0.0).sum(axis=1)
         blocks[low] = 0.0
-        blocks[:, 0] += shift
-        if not ((blocks[:, 0] >= 0.0).all() and (shift > -SPECTRUM_TOL).all()):
+        own = blocks[:, 0] + shift >= 0.0
+        blocks[own, 0] += shift[own]
+        spill = shift[~own].sum()
+        # never empty: block 0 holds mu's largest entry, at least 1 / (m n)
+        takers = np.flatnonzero(blocks[:, 0] + spill >= 0.0)
+        if min(shift.min(), spill) <= -SPECTRUM_TOL:
             raise DomainError(
-                f"mu's negative entries cannot move onto the largest of their {m}-block: "
-                f"block sums {blocks.sum(axis=1).tolist()}, moved mass {shift.tolist()}"
+                f"mu's negative entries cannot move onto a largest entry of an {m}-block "
+                f"by less than {SPECTRUM_TOL}: moved mass {shift.tolist()}"
             )
+        blocks[takers[-1], 0] += spill
     u = horn_unitary(blocks.sum(axis=1), lam)  # PreconditionError unless majorized
     j = np.arange(m)
     f = np.exp(2j * np.pi * np.outer(j, j) / m) / np.sqrt(m)

@@ -269,14 +269,30 @@ class TestConstructWithSpectra:
             assert np.abs(qm.partial_trace_first(state) - np.diag(lam)).max() <= 1e-10
             assert np.abs(state.rho.eigenvalues - np.sort(mu)[::-1]).max() <= 1e-8
 
-    @pytest.mark.parametrize("m, n, count", [(8, 4, 20), (16, 2, 20), (2, 2, 2)])
-    def test_negative_block_is_refused(self, m, n, count):
-        # a whole m-block in [-MAJ_TOL, 0) has no positive entry to take its
-        # mass, and dropping it would leave the trace and the marginal
-        mu = np.concatenate([np.full(m * n - count, (1 + count * 1e-10) / (m * n - count)),
-                             np.full(count, -1e-10)])
-        with pytest.raises(qm.DomainError, match="largest of their"):
-            qm.construct_with_spectra(np.full(n, 1 / n), mu, m)
+    @pytest.mark.parametrize("lam, mu, m", [
+        ([0.25] * 4, [(1 + 20e-10) / 12] * 12 + [-1e-10] * 20, 8),
+        ([0.5] * 2, [(1 + 20e-10) / 12] * 12 + [-1e-10] * 20, 16),
+        ([0.5] * 2, [0.5 + 1e-10] * 2 + [-1e-10] * 2, 2),
+        # spectra of a rank-deficient state: its zero block holds rounding noise
+        ([1.0, 0.0], [0.5, 0.5, 0.0, -1e-17], 2),
+        ([1.0, 0.0], [0.6, 0.4, -1e-17, -1e-17], 2),
+        ([1.0, 0.0], [0.6 + 1e-10, 0.4 + 1e-10, -1e-10, -1e-10], 2),
+    ])
+    def test_negative_block_spills_its_mass(self, lam, mu, m):
+        # an m-block with no positive entry to take its negative mass moves it
+        # onto the largest entry of the last block that can
+        state = qm.construct_with_spectra(lam, mu, m)
+        mu = np.array(mu)
+        assert state.rho.rank == np.count_nonzero(mu > 0)
+        assert abs(np.trace(state.matrix).real - mu.sum()) <= 1e-12
+        assert np.abs(qm.partial_trace_first(state) - np.diag(lam)).max() <= 1e-10
+        assert np.abs(state.rho.eigenvalues - np.sort(mu)[::-1]).max() <= 1e-8
+
+    def test_spill_past_spectrum_tol_is_refused(self):
+        # 112 entries at -1e-10 in seven whole blocks would move one entry by 1.12e-8
+        mu = np.concatenate([np.full(8, (1 + 120e-10) / 8), np.full(120, -1e-10)])
+        with pytest.raises(qm.DomainError, match="cannot move"):
+            qm.construct_with_spectra(np.full(8, 1 / 8), mu, 16)
 
     def test_pure_marginal_gives_tensor(self):
         xi = [0.6, 0.4]
