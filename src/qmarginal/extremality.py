@@ -48,6 +48,9 @@ ROUNDOFF_TAIL = 1e-2 * MARGINAL_TOL
 # the certificate's inverse iteration shifts the Gram so that its smallest
 # eigenvalue sits this fraction of its largest above zero
 INVERSE_SHIFT = 1e-12
+# bytes of the product behind one band of Gram rows, at 16 r^3 bytes per
+# first index but at least one index: Grams up to r = 10 take one band
+GRAM_BAND_BYTES = 2**18
 
 
 @dataclass(frozen=True)
@@ -58,7 +61,8 @@ class ExtremalityReport:
     sum_ij H[i,j] [z_i][z_j]* = 0 over the scaled factors z = V sqrt(lambda);
     present exactly when not extreme. ``gram_min_eig`` is the smallest
     eigenvalue of the Gram of the products of the orthonormal eigenvectors,
-    so it does not scale with lambda_min^2; it is 0.0 when r > n.
+    so it does not scale with lambda_min^2; it is 0.0 when r > n and 1.0
+    when m = 1.
     ``marginal`` flags verdicts that flip between the primary and the
     looser re-check threshold, i.e. numerically borderline inputs.
     """
@@ -81,44 +85,83 @@ def _hermitian_gram(z: np.ndarray, m: int, n: int):
 
     The basis is E_ii, then (E_ij + E_ji)/sqrt2 and then i(E_ij - E_ji)/sqrt2
     over the pairs i < j. Returns (gram, iu, ju), where (iu, ju) lists the
-    pairs (i, i) and then (i, j), i < j, in basis order.
+    pairs (i, i) and then (i, j), i < j, in basis order. The rows are built in
+    bands of first indices i, each from one product of GRAM_BAND_BYTES or
+    less, or of one index's 16 r^3 bytes when that is more.
     """
     r = z.shape[1]
     f = z.T.reshape(r * m, n)  # row i*m + a is row a of the m x n fold f_i of z_i
+    # a[i*r + k] holds A_ik = f_i f_k*
     a = (f @ f.conj().T).reshape(r, m, r, m).transpose(0, 2, 1, 3).reshape(r * r, m * m)
-    # a[i*r + k] holds A_ik = f_i f_k*, and flat entry i r^3 + k r^2 + j r + l
-    # of a a* is sum_ab A_ik[a,b] conj(A_jl[a,b]) = conj(<P_ij, P_kl>)
-    # for the products P_ij = [z_i][z_j]* under <X, Y> = tr(X* Y)
-    aa = (a @ a.conj().T).reshape(-1)
+    ac = a.conj().T
     diag = np.arange(r)
     upper = np.nonzero(np.tri(r, k=-1, dtype=bool).T)
     iu = np.concatenate([diag, upper[0]])
     ju = np.concatenate([diag, upper[1]])
-    lead = (iu * r**3 + ju * r)[:, None]
-    g1 = aa[lead + iu * r * r + ju]  # conj <P_ij, P_kl> over the listed pairs
-    g2 = aa[lead + ju * r * r + iu]  # conj <P_ij, P_lk>
-    del aa
+    p = iu.size
     # a basis element u E_ij + conj(u) E_ji has u = 1/2 on the diagonal and
     # 1/sqrt2 or i/sqrt2 off it; its entry with u' E_kl + conj(u') E_lk is
     # 2 Re(conj(u) u' <P_ij, P_kl> + conj(u) conj(u') <P_ij, P_lk>). With
     # w = sqrt2 |u|, the symmetric block is w w' Re(g1 + g2), the mixed one
     # -w w' Im(g1 + g2) and the antisymmetric one Re(g1 - g2)
-    w = np.ones(iu.size)
+    w = np.ones(p)
     w[:r] = np.sqrt(0.5)
-    herm = (g1 + g2) * np.outer(w, w)
-    p = iu.size
-    gram = np.empty((r * r, r * r))
-    gram[:p, :p] = herm.real
-    gram[p:, :p] = -herm.imag[r:]
+    lead = iu * r**3 + ju * r
+    cols1 = iu * r * r + ju
+    cols2 = ju * r * r + iu
+    band = min(r, max(1, GRAM_BAND_BYTES // (16 * r**3)))
+    rows = band * r  # a band has at most band * r pairs
+    # one block holds the Gram, a band's product and its two gathers. It is
+    # the call's largest, above the copy eigvalsh makes, so glibc keeps its
+    # memory between calls instead of trimming it and faulting it back in
+    work = np.empty(r**4 + 2 * rows * (r * r + 2 * p))
+    gram = work[:r**4].reshape(r * r, r * r)
+    buf = work[r**4:].view(complex)
+    prod = buf[:rows * r * r].reshape(rows, r * r)
+    g1_buf, g2_buf = buf[rows * r * r:].reshape(2, rows, p)
+    for i0 in range(0, r, band):
+        i1 = min(i0 + band, r)
+        d = i1 - i0
+        # the band's pairs: diagonal rows i0:i1, then upper pairs t0:t1, which
+        # are rows r + t of the symmetric block and p + t of the antisymmetric
+        t0, t1 = (i * (2 * r - i - 1) // 2 for i in (i0, i1))
+        # flat entry (i - i0) r^3 + k r^2 + j r + l of the band's product is
+        # sum_ab A_ik[a,b] conj(A_jl[a,b]) = conj(<P_ij, P_kl>) for the
+        # products P_ij = [z_i][z_j]* under <X, Y> = tr(X* Y)
+        aa = np.matmul(a[i0 * r:i1 * r], ac, out=prod[:d * r]).reshape(-1)
+        offs = np.concatenate([lead[i0:i1], lead[r + t0:r + t1]])[:, None] - i0 * r**3
+        # the indices are in range; "clip" only spares take a buffered copy
+        g1 = aa.take(offs + cols1, mode="clip", out=g1_buf[:d + t1 - t0])  # conj <P_ij, P_kl>
+        g2 = aa.take(offs + cols2, mode="clip", out=g2_buf[:d + t1 - t0])  # conj <P_ij, P_lk>
+        np.subtract(g1.real[d:, r:], g2.real[d:, r:], out=gram[p + t0:p + t1, p:])
+        # summed and weighted in place; w is sqrt(1/2) on the band's diagonal
+        # rows and 1 on its upper ones
+        herm = g1
+        herm += g2
+        herm[:d] *= w[0] * w
+        herm[d:] *= w
+        gram[i0:i1, :p] = herm.real[:d]
+        gram[r + t0:r + t1, :p] = herm.real[d:]
+        np.negative(herm.imag[d:], out=gram[p + t0:p + t1, :p])
     gram[:p, p:] = gram[p:, :p].T
-    gram[p:, p:] = g1.real[r:, r:] - g2.real[r:, r:]
     return gram, iu, ju
 
 
 def is_extreme(state: BipartiteState) -> ExtremalityReport:
-    """Certify whether a state is extreme among states with its first marginal."""
+    """Certify whether a state is extreme among states with its first marginal.
+
+    The test takes O(r^6) time, for the eigenvalues of the r^2 x r^2 Gram,
+    with r = min(rank, n + 1). Its memory peaks at about 16 r^4 bytes: the
+    real Gram and the copy that eigvalsh makes of it, since the Gram is
+    built in bands of rows (see GRAM_BAND_BYTES). A state with
+    m = 1 is reported extreme with gram_min_eig = 1.0 and no Gram: S(sigma)
+    is the one point sigma, and the products of its orthonormal
+    eigenvectors are orthonormal.
+    """
     rho = state.rho
     r = rho.rank
+    if state.m == 1:
+        return ExtremalityReport(True, r, 1.0, None, False)
     # (n+1)^2 products in the n^2-dimensional product space are dependent,
     # so for r > n the first n + 1 factors already give a certificate
     head = min(r, state.n + 1)

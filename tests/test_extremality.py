@@ -8,7 +8,13 @@ from hypothesis import strategies as st
 import qmarginal as qm
 from qmarginal import extremality
 from qmarginal.constructors import MARGINAL_TOL
-from qmarginal.extremality import CERT_RESIDUAL_TOL, _scaled_factors
+from qmarginal.extremality import (
+    CERT_RESIDUAL_TOL,
+    INDEP_TOL,
+    MARGINAL_INDEP_TOL,
+    _hermitian_gram,
+    _scaled_factors,
+)
 from qmarginal.linalg import TRACE_TOL, fold
 
 from helpers import haar_unitary, random_hermitian, sigma_corpus
@@ -89,6 +95,33 @@ class TestIsExtreme:
         assert qm.is_extreme(state).is_extreme is extreme
         assert eig_calls == ["eigvalsh"]
 
+    def test_single_first_factor_takes_no_gram(self, eig_calls):
+        # S(sigma) = {sigma} when m = 1, and the Gram of the products of
+        # orthonormal eigenvectors is the identity
+        state = qm.bipartite(np.diag([0.4, 0.3, 0.2, 0.1]), 1, 4)
+        del eig_calls[:]
+        rep = qm.is_extreme(state)
+        assert eig_calls == []
+        assert (rep.is_extreme, rep.rank, rep.gram_min_eig, rep.certificate, rep.marginal) == (
+            True, 4, 1.0, None, False)
+
+    def test_borderline_gram_flagged_marginal(self):
+        # I/2 (x) |0><0| on (2, 3) turned by exp(i eps H): its Gram has
+        # gram_max about 2 and gram_min about 1.1e-6, so the ratio lies between
+        # INDEP_TOL and MARGINAL_INDEP_TOL while gram_min * gram_max > 1e-6
+        w, v = np.linalg.eigh(random_hermitian(6, qm.PortableRng(3)))
+        u = (v * np.exp(2e-3j * w)) @ v.conj().T
+        rho = np.kron(np.eye(2) / 2, np.diag([1.0, 0.0, 0.0]))
+        state = qm.bipartite(u @ rho @ u.conj().T, 2, 3)
+        gram = _hermitian_gram(state.rho.eigenvectors[:, :2], 2, 3)[0]
+        gram_min, gram_max = np.linalg.eigvalsh(gram)[[0, -1]]
+        assert INDEP_TOL < gram_min / gram_max < MARGINAL_INDEP_TOL
+        assert gram_min * gram_max > MARGINAL_INDEP_TOL
+        rep = qm.is_extreme(state)
+        assert rep.gram_min_eig == gram_min
+        assert rep.is_extreme is True
+        assert rep.marginal is True
+
     def test_refactorization_invariance(self):
         state = qm.construct_rank_k(qm.random_density(4, 4, seed=62), 2, 3)
         z = _scaled_factors(state)
@@ -148,6 +181,26 @@ class TestSplitNonextreme:
         h /= np.abs(h).max()
         with pytest.raises(qm.InvalidCertificateError, match="moves"):
             qm.split_nonextreme(state, cert + eps * h)
+
+    def test_barely_annihilating_certificate_rejected(self):
+        # a residual of 2.8e-7 of the scale: CERT_RESIDUAL_TOL rejects it before
+        # the step's move of the marginal is weighed
+        state = qm.nonextreme_of_rank_k(qm.random_density(4, 4, seed=70), 2, 3)
+        cert = qm.is_extreme(state).certificate
+        h = random_hermitian(3, qm.PortableRng(76))
+        h /= np.abs(h).max()
+        with pytest.raises(qm.InvalidCertificateError, match="does not annihilate"):
+            qm.split_nonextreme(state, cert + 3e-7 * h)
+
+    def test_trace_moving_certificate_rejected(self):
+        # H + delta I moves the marginal by delta sigma = delta I/16: with
+        # delta * step = 1.4e-9, the halves' marginal moves by 8.8e-11, under
+        # MARGINAL_TOL, but their trace by 1.4e-9, over TRACE_TOL
+        state = qm.nonextreme_of_rank_k(qm.validate_density(np.eye(16) / 16), 2, 9)
+        cert = qm.is_extreme(state).certificate
+        step = 1.0 / np.abs(np.linalg.eigvalsh(cert)).max()
+        with pytest.raises(qm.InvalidCertificateError, match="trace"):
+            qm.split_nonextreme(state, cert + 1.4e-9 / step * np.eye(9))
 
     @pytest.mark.parametrize("delta", [1.8e-9, 1e-9])
     def test_eigenvalues_under_the_rank_cutoff_kept(self, delta):
@@ -343,19 +396,86 @@ def test_memory_stays_bounded_above_n_squared():
     assert peak < 40e6, f"peak {peak / 1e6:.1f} MB"
 
 
-def test_memory_stays_bounded_at_n_squared():
-    # a rank-16 member at (2, 16): 256 products in a 256-dimensional space.
-    # A Gram formed from the r^2 x n^2 product stack peaks at 3.16 MB under
-    # tracemalloc; one formed from the m x m blocks peaks at 1.82 MB
-    state = qm.construct_rank_k(qm.random_density(16, 16, seed=3), 2, 16)
+def is_extreme_peak(n):
+    """tracemalloc peak of is_extreme on a rank-n member at (2, n)."""
+    state = qm.construct_rank_k(qm.random_density(n, n, seed=3), 2, n)
     tracemalloc.start()
     try:
         rep = qm.is_extreme(state)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert rep.rank == 16
-    assert peak < 2.5e6, f"peak {peak / 1e6:.1f} MB"
+    assert rep.rank == n
+    return peak
+
+
+def test_memory_stays_bounded_at_n_squared():
+    # a rank-16 member at (2, 16): 256 products in a 256-dimensional space.
+    # Under tracemalloc, a Gram formed from the r^2 x n^2 product stack peaks
+    # at 3.16 MB; one from the whole r^4 product of the m x m blocks at
+    # 1.81 MB; one built in bands of first indices at 1.30 MB, of which the
+    # Gram is 0.52 MB
+    peak = is_extreme_peak(16)
+    assert peak < 1.6e6, f"peak {peak / 1e6:.2f} MB"
+
+
+def test_memory_stays_bounded_at_rank_32():
+    # the whole r^4 product peaks at 28.0 MB, the bands at 9.9 MB, of which
+    # the Gram is 8.4 MB
+    peak = is_extreme_peak(32)
+    assert peak < 12e6, f"peak {peak / 1e6:.1f} MB"
+
+
+def single_product_gram(z, m, n):
+    """Reference Gram from the whole r^4 product a a* at once, as one band."""
+    r = z.shape[1]
+    f = z.T.reshape(r * m, n)
+    a = (f @ f.conj().T).reshape(r, m, r, m).transpose(0, 2, 1, 3).reshape(r * r, m * m)
+    aa = (a @ a.conj().T).reshape(-1)
+    diag = np.arange(r)
+    upper = np.nonzero(np.tri(r, k=-1, dtype=bool).T)
+    iu = np.concatenate([diag, upper[0]])
+    ju = np.concatenate([diag, upper[1]])
+    lead = (iu * r**3 + ju * r)[:, None]
+    g1 = aa[lead + iu * r * r + ju]
+    g2 = aa[lead + ju * r * r + iu]
+    w = np.ones(iu.size)
+    w[:r] = np.sqrt(0.5)
+    herm = (g1 + g2) * np.outer(w, w)
+    p = iu.size
+    gram = np.empty((r * r, r * r))
+    gram[:p, :p] = herm.real
+    gram[p:, :p] = -herm.imag[r:]
+    gram[:p, p:] = gram[p:, :p].T
+    gram[p:, p:] = g1.real[r:, r:] - g2.real[r:, r:]
+    return gram, iu, ju
+
+
+def gram_corpus():
+    """Minimum-rank, non-extreme and sampled members: r = min(rank, n + 1) from 2 to 17."""
+    out = []
+    for m, n in [(2, 4), (3, 5), (2, 8), (4, 8), (2, 12), (2, 32)]:
+        for seed in (1, 2):
+            sigma = qm.random_density(n, n, seed=seed)
+            lo = qm.element_rank_range(n, m).k_min
+            out += [qm.construct_rank_k(sigma, m, lo), qm.nonextreme_of_rank_k(sigma, m, lo + 1)]
+            if n <= 12:
+                out.append(qm.random_state_with_marginal(sigma, m, qm.SamplerConfig(seed=seed)))
+    return out
+
+
+@pytest.mark.parametrize("band_bytes", [1, 2**14, extremality.GRAM_BAND_BYTES, 2**40],
+                         ids=["one-index", "16K", "default", "one-band"])
+def test_banded_gram_matches_single_product(band_bytes, monkeypatch):
+    # the bands are rows of the same products, so the Gram is bit-identical
+    # whatever the band size
+    monkeypatch.setattr(extremality, "GRAM_BAND_BYTES", band_bytes)
+    for state in gram_corpus():
+        z = state.rho.eigenvectors[:, :min(state.rank, state.n + 1)]
+        gram, iu, ju = _hermitian_gram(z, state.m, state.n)
+        want, iu_want, ju_want = single_product_gram(z, state.m, state.n)
+        assert np.array_equal(iu, iu_want) and np.array_equal(ju, ju_want)
+        assert np.array_equal(gram, want), (state.m, state.n, state.rank)
 
 
 def diag_sigma(d):

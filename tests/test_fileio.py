@@ -131,7 +131,9 @@ def test_malformed_dims_name_the_field(value):
         fileio.doc_to_matrix(doc)
 
 
-@pytest.mark.parametrize("m, n, want", [(2, None, (2, 3)), (None, 3, (2, 3)), (2, 3, (2, 3))])
+@pytest.mark.parametrize("m, n, want", [
+    (2, None, (2, 3)), (None, 3, (2, 3)), (2, 3, (2, 3)), (1, None, (1, 6)), (None, 1, (6, 1)),
+])
 def test_factor_dims_derives_or_checks(m, n, want):
     assert fileio.factor_dims(6, m, n) == want
 

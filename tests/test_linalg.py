@@ -177,6 +177,11 @@ class TestValidateDensity:
         assert dm.rank == 3
         assert dm.dim == 3
 
+    @pytest.mark.parametrize("small, rank", [(1e-9, 3), (4e-10, 2)])
+    def test_rank_cutoff_scales_with_largest_eigenvalue(self, small, rank):
+        # the cutoff is RANK_TOL_FACTOR times the largest eigenvalue, 5e-10 here
+        assert qm.validate_density(np.diag([0.5, 0.5 - small, small])).rank == rank
+
     def test_not_psd(self):
         with pytest.raises(qm.ValidationError) as err:
             qm.validate_density(np.diag([1.5, -0.5]))
