@@ -42,13 +42,11 @@ from .linalg import (
     BipartiteState,
     DensityMatrix,
     bipartite,
-    fold,
     hermitian_eig,
     partial_trace_first,
     partial_trace_second,
     random_density,
     spectrum,
-    unfold,
     validate_density,
 )
 from .majorization import MajorizationReport, majorizes, schatten_norm
@@ -90,7 +88,6 @@ __all__ = [
     "element_rank_range",
     "exact_low_rank_exists",
     "extreme_rank_range",
-    "fold",
     "hermitian_eig",
     "horn_unitary",
     "is_extreme",
@@ -109,6 +106,5 @@ __all__ = [
     "spectra_pair_census",
     "spectrum",
     "split_nonextreme",
-    "unfold",
     "validate_density",
 ]

@@ -92,6 +92,8 @@ def build_parser() -> _Parser:
     spectra.add_argument("mu")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
+    # a handler maps the parsed arguments to (document, exit code); the four
+    # subcommands that build one state share the handler _state_handler makes
     def add_parser(name, handler, *parents, **kwargs):
         p = sub.add_parser(name, parents=[common, *parents], **kwargs)
         p.set_defaults(handler=handler)
@@ -107,9 +109,11 @@ def build_parser() -> _Parser:
     p = add_parser("ptrace", _cmd_ptrace, state, help="partial trace of a bipartite state file")
     p.add_argument("--side", choices=["first", "second"], required=True)
 
-    add_parser("purify", _cmd_purify, sigma, help="rank-one state with the given first marginal")
-    add_parser("construct", _cmd_construct, sigma, rank,
-               help="rank-k state with the given first marginal")
+    add_parser("purify", _state_handler(lambda a: purify(fileio.load_density(a.sigma), a.m)), sigma,
+               help="rank-one state with the given first marginal")
+    add_parser("construct",
+               _state_handler(lambda a: construct_rank_k(fileio.load_density(a.sigma), a.m, a.k)),
+               sigma, rank, help="rank-k state with the given first marginal")
 
     p = add_parser("approx", _cmd_approx, sigma, rank,
                    help="optimal rank-constrained marginal approximation")
@@ -133,11 +137,12 @@ def build_parser() -> _Parser:
                    help="spectra compatibility (auto-selects the test by dims)")
     p.add_argument("--m", type=int)
 
-    p = add_parser("spectra-construct", _cmd_spectra_construct, spectra,
+    p = add_parser("spectra-construct",
+                   _state_handler(lambda a: construct_with_spectra(*_load_spectra(a), a.m)), spectra,
                    help="state with prescribed joint and marginal spectra (m >= n)")
     p.add_argument("--m", type=int, required=True)
 
-    add_parser("construct23", _cmd_construct23, spectra,
+    add_parser("construct23", _state_handler(lambda a: construct_23(*_load_spectra(a))), spectra,
                help="state on a (2,3) system with prescribed spectra pair")
 
     p = add_parser("sample", _cmd_sample, sigma, help="random states with a prescribed first marginal")
@@ -148,6 +153,16 @@ def build_parser() -> _Parser:
     add_parser("demo-s5", _cmd_demo_s5,
                help="worked answers for the uniform-qutrit marginal on a (2,3) system")
     return parser
+
+
+def _state_handler(build):
+    """Handler whose document is the one state ``build(args)`` returns, with exit 0."""
+    return lambda args: (fileio.state_to_doc(build(args)), 0)
+
+
+def _load_spectra(args):
+    """The (lambda, mu) spectra files of a subcommand, loaded in that order."""
+    return fileio.load_spectrum(args.lam), fileio.load_spectrum(args.mu)
 
 
 def _cmd_validate(args):
@@ -178,16 +193,6 @@ def _cmd_ptrace(args):
     else:
         out = partial_trace_second(state)
     return fileio.matrix_to_doc(out), 0
-
-
-def _cmd_purify(args):
-    state = purify(fileio.load_density(args.sigma), args.m)
-    return fileio.state_to_doc(state), 0
-
-
-def _cmd_construct(args):
-    state = construct_rank_k(fileio.load_density(args.sigma), args.m, args.k)
-    return fileio.state_to_doc(state), 0
 
 
 def _cmd_approx(args):
@@ -254,7 +259,7 @@ def _cmd_feasible(args):
 
 
 def _cmd_compat(args):
-    lam, mu = fileio.load_spectrum(args.lam), fileio.load_spectrum(args.mu)
+    lam, mu = _load_spectra(args)
     m, n = factor_dims(mu.size, args.m, lam.size)
     if (m, n) == (2, 2):
         mode, rep = "2x2", compat_2x2(lam, mu)
@@ -267,18 +272,6 @@ def _cmd_compat(args):
     if mode == "necessary":
         doc["note"] = "necessary conditions only for m < n"
     return doc, 0 if rep.holds else 1
-
-
-def _cmd_spectra_construct(args):
-    lam, mu = fileio.load_spectrum(args.lam), fileio.load_spectrum(args.mu)
-    state = construct_with_spectra(lam, mu, args.m)
-    return fileio.state_to_doc(state), 0
-
-
-def _cmd_construct23(args):
-    lam, mu = fileio.load_spectrum(args.lam), fileio.load_spectrum(args.mu)
-    state = construct_23(lam, mu)
-    return fileio.state_to_doc(state), 0
 
 
 def _cmd_sample(args):

@@ -101,15 +101,15 @@ class PortableRng:
         self.seed = int(seed) & _MASK64
         self.counter = 0
 
-    def _advance(self, count: int, multiple: int = 1) -> int:
-        """Start counter of the next ``count`` raws rounded up to ``multiple``; moves past them.
+    def _advance(self, count: int) -> int:
+        """Start counter of the next ``count`` raws; moves past them.
 
         The only place the counter moves; a negative count raises and leaves it.
         """
         if count < 0:
             raise DimensionError(f"count must be >= 0, got {count}")
         start = self.counter
-        self.counter += -(-count // multiple) * multiple
+        self.counter += count
         return start
 
     def raw(self, count: int) -> np.ndarray:
@@ -118,10 +118,6 @@ class PortableRng:
     def uniform(self, count: int) -> np.ndarray:
         """count doubles in [0, 1)."""
         return _uniform(self.raw(count))
-
-    def standard_normal(self, count: int) -> np.ndarray:
-        # normals come in Box-Muller pairs: an odd count still uses the pair's second raw
-        return normal_block(self.seed, self._advance(count, 2), count + count % 2)[:count]
 
     def complex_normal(self, shape) -> np.ndarray:
         """Standard complex Gaussians (variance 1: (x + iy)/sqrt(2))."""

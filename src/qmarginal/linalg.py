@@ -5,9 +5,9 @@ Conventions used throughout the package:
 * A bipartite matrix on an (m, n) system is an (m*n, m*n) array viewed as
   an m x m grid of n x n blocks; basis vector ``e_i (x) e_j`` sits at flat
   index ``i*n + j`` (0-based).
-* ``fold`` reshapes a length-m*n vector into the n x m matrix whose column
-  ``j`` holds entries ``j*n .. (j+1)*n``; ``unfold`` is its inverse. Under
-  these maps ``tr1(w w*) = W W*`` and ``tr2(w w*) = W^t (W^t)*``.
+* The fold of a length-m*n vector ``w`` is the n x m matrix ``W`` whose
+  column ``j`` holds entries ``j*n .. (j+1)*n``, ``w.reshape(m, n).T``.
+  Then ``tr1(w w*) = W W*`` and ``tr2(w w*) = W^t (W^t)*``.
 * Spectra are real vectors sorted descending.
 * A state built as ``rho = Z Z*`` from a factor of any width k is
   validated from ``Z``, not from the O((mn)^3) eigendecomposition of rho,
@@ -146,22 +146,6 @@ class BipartiteState:
     @property
     def rank(self) -> int:
         return self.rho.rank
-
-
-def fold(w, m: int, n: int) -> np.ndarray:
-    """Reshape a length-m*n vector into the n x m matrix with column j = w[j*n:(j+1)*n]."""
-    w = np.asarray(w, dtype=complex).reshape(-1)
-    if w.size != m * n:
-        raise DimensionError(f"vector length {w.size} != m*n = {m * n}")
-    return w.reshape(m, n).T.copy()
-
-
-def unfold(mat) -> np.ndarray:
-    """Inverse of :func:`fold`: stack the columns of an n x m matrix."""
-    mat = np.asarray(mat, dtype=complex)
-    if mat.ndim != 2:
-        raise DimensionError(f"expected a matrix, got ndim {mat.ndim}")
-    return mat.T.reshape(-1)
 
 
 def _coerce_bipartite(state, m=None, n=None):

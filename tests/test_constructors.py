@@ -6,7 +6,8 @@ from numpy.testing import assert_allclose
 
 import qmarginal as qm
 from qmarginal import kernels
-from qmarginal.constructors import _gadget_offdiag
+from qmarginal.constructors import _feasible_mu, _gadget_offdiag
+from qmarginal.feasibility import _compat_2x3
 from qmarginal.majorization import MAJ_TOL, lp_norm
 
 from helpers import (band_edge_pairs, haar_unitary, random_prob_vector, ref_nonextreme_factor,
@@ -454,6 +455,19 @@ class TestConstruct23:
                             lambda lam, mu: [mu[0] - 1e-9, *mu[1:5], mu[5] + 1e-9])
         with pytest.raises(qm.InternalInvariantError, match="marginal by 1.000e-09"):
             qm.construct_23(lam, mu)
+
+    def test_feasible_mu_lowers_mu5_onto_lambda1(self):
+        # only mu4+mu5 <= lambda1 fails, by 2a = 2.3e-10; dyadic entries keep
+        # every sum exact, so mu5 comes down by 2a, mu1 takes the trace back
+        # up, and every check of the moved mu holds with slack >= 0
+        a = 2.0 ** -33
+        lam = [0.375, 0.3125, 0.3125]
+        mu = [0.1875 + a] * 5 + [0.0625 - 5 * a]
+        failed = [c.name for c in _compat_2x3(lam, mu).checks if c.slack < 0]
+        assert failed == ["mu4+mu5 <= lambda1"]
+        nu = _feasible_mu(lam, mu)
+        assert nu == [0.1875 + 3 * a, *mu[1:4], 0.1875 - a, mu[5]]
+        assert min(c.slack for c in _compat_2x3(lam, nu).checks) >= 0.0
 
     def test_infeasible_pair_rejected(self):
         with pytest.raises(qm.InfeasibleError):

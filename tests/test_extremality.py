@@ -15,7 +15,7 @@ from qmarginal.extremality import (
     _hermitian_gram,
     _scaled_factors,
 )
-from qmarginal.linalg import TRACE_TOL, fold
+from qmarginal.linalg import TRACE_TOL
 
 from helpers import haar_unitary, random_hermitian, sigma_corpus
 
@@ -309,7 +309,7 @@ def test_extreme_rank_statement():
 def stacked_products_loop(z, m, n):
     """Reference stacking: one folded product per (i, j), row i*r + j."""
     r = z.shape[1]
-    folds = [fold(z[:, i], m, n) for i in range(r)]
+    folds = [z[:, i].reshape(m, n).T for i in range(r)]  # n x m, column j = z_i[j*n:(j+1)*n]
     return np.array([(folds[i] @ folds[j].conj().T).reshape(-1)
                      for i in range(r) for j in range(r)]).reshape(r * r, n * n)
 

@@ -106,6 +106,8 @@ class TestCompat2x3:
         rep = qm.compat_2x3([1 / 3, 1 / 3, 1 / 3], [0.5, 0.1, 0.1, 0.1, 0.1, 0.1])
         assert not rep.holds
         assert not rep.check("lambda3 <= mu2+mu3").passed
+        with pytest.raises(KeyError):
+            rep.check("lambda1 <= mu1")
 
     def test_rank3_uniform_blocks(self):
         rep = qm.compat_2x3([1 / 3, 1 / 3, 1 / 3], [1 / 3, 1 / 3, 1 / 3, 0, 0, 0])

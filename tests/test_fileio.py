@@ -90,6 +90,12 @@ def test_numpy_scalars_rejected(value):
         fileio.dumps({"v": value})
 
 
+@pytest.mark.parametrize("shape", [(4,), (2, 2, 2)])
+def test_matrix_to_doc_rejects_non_matrix(shape):
+    with pytest.raises(qm.DimensionError, match="expected a matrix"):
+        fileio.matrix_to_doc(np.zeros(shape))
+
+
 def test_entries_length_checked():
     with pytest.raises(qm.DimensionError):
         fileio.doc_to_matrix({"rows": 2, "cols": 2, "entries": [[1.0, 0.0]]})

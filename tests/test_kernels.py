@@ -51,6 +51,12 @@ def test_normal_moments():
     assert abs(z.std() - 1.0) < 0.01
 
 
+def test_normal_block_rejects_odd_count():
+    # normals come in Box-Muller pairs
+    with pytest.raises(ValueError, match="even count"):
+        kernels.normal_block(123, 0, 3)
+
+
 def test_complex_normal_variance():
     g = qm.PortableRng(8).complex_normal(100_000)
     assert abs((np.abs(g) ** 2).mean() - 1.0) < 0.02
@@ -58,10 +64,10 @@ def test_complex_normal_variance():
 
 def test_rng_counter_advances():
     rng = qm.PortableRng(9)
-    rng.standard_normal(3)  # consumes 4 raws (rounded up to a pair)
-    assert rng.counter == 4
-    rng.uniform(2)
+    rng.complex_normal(3)  # consumes 6 raws: one Box-Muller pair per complex normal
     assert rng.counter == 6
+    rng.uniform(2)
+    assert rng.counter == 8
 
 
 def test_rng_draws_are_stream_slices():
@@ -71,27 +77,23 @@ def test_rng_draws_are_stream_slices():
     raw = kernels.raw_block(seed, 0, 5)
     assert np.array_equal(rng.uniform(5), (raw >> np.uint64(11)).astype(np.float64) * 2.0 ** -53)
     assert rng.counter == 5
-    assert np.array_equal(rng.standard_normal(3), kernels.normal_block(seed, 5, 4)[:3])
-    assert rng.counter == 9
-    z = kernels.normal_block(seed, 9, 12)
+    # the pairs start at the counter, odd here, not at an even raw
+    z = kernels.normal_block(seed, 5, 12)
     want = ((z[0::2] + 1j * z[1::2]) / np.sqrt(2.0)).reshape(2, 3)
     got = rng.complex_normal((2, 3))
     assert got.shape == (2, 3)
     assert np.array_equal(got, want)
-    assert rng.counter == 21
-    assert rng.index(7) == int(kernels.raw_block(seed, 21, 1)[0] % np.uint64(7))
-    assert rng.counter == 22
+    assert rng.counter == 17
+    assert rng.index(7) == int(kernels.raw_block(seed, 17, 1)[0] % np.uint64(7))
+    assert rng.counter == 18
 
 
 @pytest.mark.parametrize("draw", [
     lambda rng: rng.raw(-1),
     lambda rng: rng.uniform(-3),
-    lambda rng: rng.standard_normal(-3),
-    lambda rng: rng.standard_normal(-1),
     lambda rng: rng.complex_normal((-1, 2)),
     lambda rng: rng.complex_normal((-1, -2)),  # size 2: each dim is checked
-], ids=["raw", "uniform", "standard_normal", "standard_normal-odd", "complex_normal",
-        "complex_normal-positive-size"])
+], ids=["raw", "uniform", "complex_normal", "complex_normal-positive-size"])
 def test_rng_rejects_negative_count(draw):
     # a negative count would move the counter back and replay earlier draws
     rng = qm.PortableRng(13)

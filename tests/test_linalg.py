@@ -14,42 +14,6 @@ from qmarginal.linalg import ORTHO_TOL, _hermitian_part
 from helpers import haar_unitary, random_hermitian
 
 
-class TestFoldUnfold:
-    def test_standard_basis_first(self):
-        w = np.array([1, 0, 0, 0])
-        expected = np.zeros((2, 2))
-        expected[0, 0] = 1
-        assert_allclose(qm.fold(w, 2, 2), expected)
-
-    def test_standard_basis_second(self):
-        w = np.array([0, 1, 0, 0])
-        expected = np.zeros((2, 2))
-        expected[1, 0] = 1
-        assert_allclose(qm.fold(w, 2, 2), expected)
-
-    def test_unfold_identity(self):
-        assert_allclose(qm.unfold(np.eye(2)), [1, 0, 0, 1])
-
-    def test_unfold_column_stacking(self):
-        l1, l2 = 0.7, 0.3
-        mat = np.zeros((3, 2))
-        mat[0, 0] = np.sqrt(l1)
-        mat[1, 1] = np.sqrt(l2)
-        assert_allclose(qm.unfold(mat), [np.sqrt(l1), 0, 0, 0, np.sqrt(l2), 0])
-
-    def test_inverse_pair(self):
-        rng = qm.PortableRng(11)
-        for m, n in [(2, 2), (3, 2), (2, 4), (5, 3)]:
-            w = rng.complex_normal(m * n)
-            assert_allclose(qm.unfold(qm.fold(w, m, n)), w)
-            mat = rng.complex_normal((n, m))
-            assert_allclose(qm.fold(qm.unfold(mat), m, n), mat)
-
-    def test_length_mismatch(self):
-        with pytest.raises(qm.DimensionError):
-            qm.fold(np.ones(5), 2, 2)
-
-
 class TestPartialTraces:
     def test_tensor_states(self):
         rng = qm.PortableRng(5)
@@ -235,6 +199,14 @@ class TestValidateDensity:
         bad = np.array([[0.5, 0.3], [0.0, 0.5]])
         with pytest.raises(qm.ValidationError) as err:
             qm.validate_density(bad)
+        assert err.value.reason == "not-hermitian"
+
+    def test_small_defect_fails_at_the_default_tolerance(self):
+        # relative defect 3e-9: above HERMIT_TOL = 1e-9, below ten times it
+        a = np.diag([0.5, 0.5])
+        a[0, 1] = 3e-9
+        with pytest.raises(qm.ValidationError) as err:
+            qm.validate_density(a)
         assert err.value.reason == "not-hermitian"
 
     def test_immutability(self):

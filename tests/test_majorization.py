@@ -12,11 +12,14 @@ from helpers import haar_unitary, random_hermitian, random_prob_vector, t_transf
 
 class TestMajorizes:
     def test_uniform_vs_extreme(self):
-        assert qm.majorizes([0.5, 0.5], [1.0, 0.0]).holds
+        rep = qm.majorizes([0.5, 0.5], [1.0, 0.0])
+        assert rep.holds
+        assert bool(rep) is True
 
     def test_fails_at_first_prefix(self):
         rep = qm.majorizes([0.6, 0.4], [0.5, 0.5])
         assert not rep.holds
+        assert bool(rep) is False
         assert rep.first_violation == 1
 
     def test_hand_prefix_sums(self):
@@ -147,6 +150,12 @@ def test_lp_norm_general_p():
     assert_allclose(lp_norm(v, 2), 5.0)
     assert_allclose(lp_norm(v, np.inf), 4.0)
     assert_allclose(lp_norm(v, 3), (27 + 64) ** (1 / 3))
+
+
+@pytest.mark.parametrize("p", [1, 2, np.inf])
+def test_lp_norm_of_empty_vector_is_zero(p):
+    # the max of an empty array would raise
+    assert lp_norm([], p) == 0.0
 
 
 def test_lp_norm_rejects_nan_p():
