@@ -24,13 +24,33 @@ def format_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _float_items(items) -> str | None:
+    """The items' JSON text in one pass if they are all floats or all [re, im]
+    pairs of floats, as a spectrum's values or a matrix's entries are; else None."""
+    if all(type(x) is float for x in items):
+        flat, fmt = items, "%.17g"
+    elif all(type(p) in (list, tuple) and len(p) == 2
+             and type(p[0]) is float and type(p[1]) is float for p in items):
+        flat, fmt = [x for p in items for x in p], "[%.17g, %.17g]"
+    else:
+        return None
+    text = ", ".join([fmt] * len(items)) % tuple(flat)
+    if "n" in text:  # inf or nan: raise on the first, as one value at a time would
+        for x in flat:
+            format_float(x)
+    return "[" + text + "]"
+
+
 def dumps(obj) -> str:
     """JSON text with floats at 17 significant digits; a non-JSON type raises TypeError."""
     if isinstance(obj, dict):
         items = ", ".join(f"{json.dumps(str(k))}: {dumps(v)}" for k, v in obj.items())
         return "{" + items + "}"
     if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(dumps(v) for v in obj) + "]"
+        text = _float_items(obj)
+        if text is None:
+            text = "[" + ", ".join(dumps(v) for v in obj) + "]"
+        return text
     if isinstance(obj, float):
         return format_float(obj)
     if obj is None or isinstance(obj, (bool, int, str)):

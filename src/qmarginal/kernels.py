@@ -3,8 +3,12 @@
 Everything here is a pure function of ``(seed, start)`` where ``start`` is
 a counter into the splitmix64 stream, so results are reproducible and
 independent trials are addressable without sequential state. The trial
-kernels are vectorized over batches of trials. ``PortableRng`` is a
-sequential facade over the same stream.
+kernels are vectorized over blocks of trials sized by bytes, not by count:
+a block holds as many trials as fit in ``BATCH_BYTES`` (at least one), so a
+call needs its output plus one block, whatever the trial count. Each trial
+reads only its own raws, and the batched matmuls and eigendecompositions
+treat each trial's matrices on their own, so no output depends on the
+block size. ``PortableRng`` is a sequential facade over the same stream.
 
 Stream layout contracts:
 
@@ -43,9 +47,10 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 _TWO53_INV = 2.0 ** -53
 _MASK64 = (1 << 64) - 1
 
-# trials per batch: bounds the memory of one vectorized step
-RESIDUAL_BATCH = 4096
-CENSUS_BATCH = 1024
+# bytes of one block of trials (see _block_trials): a trial kernel holds its
+# output and one block, whatever the trial count, and each array of a block
+# stays small enough for malloc to reuse rather than map afresh
+BATCH_BYTES = 2**17
 
 
 def _positive(name, value):
@@ -55,28 +60,44 @@ def _positive(name, value):
 
 def raw_block(seed, start, count) -> np.ndarray:
     """splitmix64 outputs for counters start..start+count-1."""
-    idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-    z = np.uint64(seed & _MASK64) + idx * GOLDEN
-    z = (z ^ (z >> np.uint64(30))) * _MIX1
-    z = (z ^ (z >> np.uint64(27))) * _MIX2
-    return z ^ (z >> np.uint64(31))
+    z = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+    z *= GOLDEN
+    z += np.uint64(seed & _MASK64)
+    t = z >> np.uint64(30)  # the mix's one scratch array
+    z ^= t
+    z *= _MIX1
+    np.right_shift(z, np.uint64(27), out=t)
+    z ^= t
+    z *= _MIX2
+    np.right_shift(z, np.uint64(31), out=t)
+    z ^= t
+    return z
 
 
 def _uniform(raw) -> np.ndarray:
-    return (raw >> np.uint64(11)).astype(np.float64) * _TWO53_INV
+    u = (raw >> np.uint64(11)).astype(np.float64)
+    u *= _TWO53_INV
+    return u
 
 
 def normal_block(seed, start, count) -> np.ndarray:
     if count % 2:
         raise ValueError("normal_block needs an even count")
     raw = raw_block(seed, start, count)
-    u1 = _uniform(raw[0::2]) + _TWO53_INV  # in (0, 1]: the log is finite
-    u2 = _uniform(raw[1::2])
-    r = np.sqrt(-2.0 * np.log(u1))
-    th = (2.0 * np.pi) * u2
+    r = _uniform(raw[0::2])
+    th = _uniform(raw[1::2])
+    del raw
+    r += _TWO53_INV  # in (0, 1]: the log is finite
+    np.log(r, out=r)
+    r *= -2.0
+    np.sqrt(r, out=r)
+    th *= 2.0 * np.pi
     out = np.empty(count)
-    out[0::2] = r * np.cos(th)
-    out[1::2] = r * np.sin(th)
+    cos, sin = out[0::2], out[1::2]
+    np.cos(th, out=cos)
+    np.sin(th, out=sin)
+    cos *= r
+    sin *= r
     return out
 
 
@@ -87,7 +108,9 @@ np_normal_block = normal_block
 
 def _complex_normal_block(seed, start, count) -> np.ndarray:
     """count standard complex Gaussians (variance 1) from raws [start, start + 2*count)."""
-    return normal_block(seed, start, 2 * count).view(complex) / np.sqrt(2.0)
+    z = normal_block(seed, start, 2 * count).view(complex)
+    z /= np.sqrt(2.0)
+    return z
 
 
 class PortableRng:
@@ -141,14 +164,27 @@ def _check_trial_dims(m, n, k, trials):
         raise DimensionError(f"trials must be >= 0, got {trials}")
 
 
-def _reduced_batches(m, n, k, trials, seed, start, batch):
-    """Per batch of trials: (slice, Gaussian factors g, tr_1(g g*), tr(g g*)).
+def _block_trials(m, n, k, width):
+    """Trials per block: as many as fit in BATCH_BYTES, but at least one.
+
+    One trial of a block holds 2*m*n*k raws and as many normals, which are
+    its factor g, then g's fold h and the conjugate of h, each 16*m*n*k
+    bytes; then its n x n reduced state and the width x width state whose
+    spectrum the kernel takes besides, 16 bytes an entry.
+    """
+    return max(1, BATCH_BYTES // (16 * (4 * m * n * k + n * n + width * width)))
+
+
+def _reduced_batches(m, n, k, trials, seed, start, width):
+    """Per block of trials: (slice, Gaussian factors g, tr_1(g g*), tr(g g*)).
 
     g has shape (c, m*n, k); the reduced states and traces are unnormalized.
+    A block holds _block_trials(m, n, k, width) trials, or the rest.
     """
     per = 2 * m * n * k
-    for lo in range(0, trials, batch):
-        c = min(batch, trials - lo)
+    block = _block_trials(m, n, k, width)
+    for lo in range(0, trials, block):
+        c = min(block, trials - lo)
         g = _complex_normal_block(seed, start + lo * per, c * m * n * k).reshape(c, m * n, k)
         # tr_1(G G*)[i, j] sums over (a, c) of G[a*n + i, c] conj(G[a*n + j, c])
         h = g.reshape(c, m, n, k).transpose(0, 2, 1, 3).reshape(c, n, m * k)
@@ -163,9 +199,11 @@ def residual_spectra(sigma, m, n, k, trials, seed, start=0) -> np.ndarray:
         raise DimensionError(f"sigma must have shape ({n}, {n}), got {np.shape(sigma)}")
     sigma = np.ascontiguousarray(sigma, dtype=np.complex128)
     out = np.empty((trials, n))
-    for sl, _, red, tr in _reduced_batches(m, n, k, trials, seed, start, RESIDUAL_BATCH):
-        a = sigma[None, :, :] - red / tr[:, None, None]
-        out[sl] = np.linalg.eigvalsh(a)[:, ::-1]
+    # the residual sigma - red/tr is formed in red's buffer: no state besides
+    for sl, _, red, tr in _reduced_batches(m, n, k, trials, seed, start, 0):
+        red /= tr[:, None, None]
+        np.subtract(sigma, red, out=red)
+        out[sl] = np.linalg.eigvalsh(red)[:, ::-1]
     return out
 
 
@@ -174,7 +212,7 @@ def census_spectra(m, n, trials, seed, start=0):
     _check_trial_dims(m, n, m * n, trials)
     lam = np.empty((trials, n))
     mu = np.empty((trials, m * n))
-    for sl, g, red, tr in _reduced_batches(m, n, m * n, trials, seed, start, CENSUS_BATCH):
+    for sl, g, red, tr in _reduced_batches(m, n, m * n, trials, seed, start, m * n):
         rho = g @ g.conj().transpose(0, 2, 1)
         mu[sl] = np.linalg.eigvalsh(rho)[:, ::-1] / tr[:, None]
         lam[sl] = np.linalg.eigvalsh(red)[:, ::-1] / tr[:, None]

@@ -216,12 +216,16 @@ def _factor_eig(z: np.ndarray, zc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             # divided by one norm at a time: the product of two tiny norms
             # would underflow to 0. A NaN cosine (inf / inf) fails the test
             # below
-            cos = np.abs(gram) / norm[:, None] / norm
+            cos = np.abs(gram)
+            cos /= norm[:, None]
+            cos /= norm
             np.fill_diagonal(cos, 0.0)
             if (cos <= ORTHO_TOL).all():
                 order = np.argsort(-sq, kind="stable")
                 w[:k] = sq[order]
-                return w, z[:, order] / norm[order]
+                v = z[:, order]
+                v /= norm[order]
+                return w, v
     v, s, _ = np.linalg.svd(z, full_matrices=False)
     w[:s.size] = s * s
     return w, v

@@ -106,6 +106,34 @@ def test_nonfinite_rejected():
         fileio.dumps({"v": float("nan")})
 
 
+def _per_value(obj):
+    """dumps as one call per value: the reference for its one-pass lists."""
+    if isinstance(obj, dict):
+        return "{" + ", ".join(f"{json.dumps(k)}: {_per_value(v)}" for k, v in obj.items()) + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ", ".join(_per_value(v) for v in obj) + "]"
+    return fileio.dumps(obj)
+
+
+@pytest.mark.parametrize("items", [
+    [], [[]], [0.5, -0.0, 5e-324], [(1 / 3, -2.5), [1e300, -0.0]],
+    [1.0, 2], [True, 1.0], [[1.0, 2], [3.0, 4.0]], [[1.0, 2.0, 3.0]], [np.float64(0.1), 0.1],
+    [[np.float64(0.1), 0.2]], [None, "x", 1.5], [[0.5, [1.0, 2.0]], [0.25]],
+], ids=repr)
+def test_float_lists_match_one_value_at_a_time(items):
+    assert fileio.dumps({"v": items}) == _per_value({"v": items})
+
+
+@pytest.mark.parametrize("items, first", [
+    ([0.5, float("inf"), float("nan")], "inf"),
+    ([[0.5, 0.0], [1.0, float("-inf")], [float("nan"), 0.0]], "-inf"),
+    ([[float("nan"), float("inf")]], "nan"),
+])
+def test_float_lists_name_their_first_nonfinite_value(items, first):
+    with pytest.raises(ValueError, match=f"^cannot serialize non-finite value {first}$"):
+        fileio.dumps({"v": items})
+
+
 def test_state_needs_dims(tmp_path):
     path = tmp_path / "plain.json"
     fileio.save_doc(str(path), fileio.matrix_to_doc(np.eye(4) / 4))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -120,10 +121,11 @@ def test_prefix_sums_match_fsum():
 
 
 def test_residual_spectra_counter_addressable():
-    # trial t consumes raws [start + t*per, start + (t+1)*per); 4100 trials
-    # cross the 4096-trial batch boundary
+    # trial t consumes raws [start + t*per, start + (t+1)*per); both calls
+    # cross at least two block boundaries, the tail's at other trials
     sigma = qm.random_density(6, 4, seed=1).matrix
-    m, n, k, trials, skip = 2, 6, 2, 4100, 7
+    m, n, k, skip = 2, 6, 2, 7
+    trials = 2 * kernels._block_trials(m, n, k, 0) + skip + 5
     per = 2 * m * n * k
     full = kernels.residual_spectra(sigma, m, n, k, trials, 31)
     tail = kernels.residual_spectra(sigma, m, n, k, trials - skip, 31, start=skip * per)
@@ -131,13 +133,51 @@ def test_residual_spectra_counter_addressable():
 
 
 def test_census_spectra_counter_addressable():
-    # 2*(m*n)**2 raws per trial; 1030 trials cross the 1024-trial batch boundary
-    m, n, trials, skip = 2, 3, 1030, 9
+    # 2*(m*n)**2 raws per trial; both calls cross at least two block boundaries
+    m, n, skip = 2, 3, 9
+    trials = 2 * kernels._block_trials(m, n, m * n, m * n) + skip + 3
     per = 2 * (m * n) ** 2
     lam, mu = kernels.census_spectra(m, n, trials, 32)
     lam_tail, mu_tail = kernels.census_spectra(m, n, trials - skip, 32, start=skip * per)
     assert np.array_equal(lam[skip:], lam_tail)
     assert np.array_equal(mu[skip:], mu_tail)
+
+
+@pytest.mark.parametrize("budget", [1, 3000, 10**7])  # one trial a block, a few, all in one
+def test_trial_kernels_independent_of_block_size(budget, monkeypatch):
+    sigma = qm.random_density(5, 3, seed=2).matrix
+    want_res = kernels.residual_spectra(sigma, 3, 5, 2, 150, 41, start=5)
+    want_lam, want_mu = kernels.census_spectra(2, 3, 150, 42, start=5)
+    monkeypatch.setattr(kernels, "BATCH_BYTES", budget)
+    assert np.array_equal(kernels.residual_spectra(sigma, 3, 5, 2, 150, 41, start=5), want_res)
+    lam, mu = kernels.census_spectra(2, 3, 150, 42, start=5)
+    assert np.array_equal(lam, want_lam)
+    assert np.array_equal(mu, want_mu)
+
+
+SIGMA8 = qm.random_density(8, 8, seed=3).matrix
+SIGMA6 = qm.random_density(6, 6, seed=3).matrix
+
+
+@pytest.mark.parametrize("trials", [400, 20_000])
+@pytest.mark.parametrize("kernel, args", [
+    ("residual_spectra", (SIGMA8, 2, 8, 3)),
+    ("residual_spectra", (SIGMA6, 2, 6, 2)),
+    ("census_spectra", (2, 4)),
+], ids=["residual-2x8-k3", "residual-2x6-k2", "census-2x4"])
+def test_trial_kernels_hold_output_plus_one_block(kernel, args, trials):
+    # the traced peak above the output is one block's arrays, whatever the
+    # trial count; whole batches of trials took 15-28 MB here
+    run = getattr(kernels, kernel)
+    run(*args, 10, 7)  # numpy's first-call allocations are not the kernel's
+    tracemalloc.start()
+    try:
+        out = run(*args, trials, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = sum(a.nbytes for a in (out if isinstance(out, tuple) else (out,)))
+    assert peak - held <= 2 * kernels.BATCH_BYTES
 
 
 SIGMA3 = qm.random_density(3, 3, seed=4).matrix
@@ -173,9 +213,10 @@ def test_trial_kernels_reject_dims_before_allocating(case, monkeypatch):
 
 
 @pytest.mark.parametrize("m, n, trials", [(2, 2, 200), (2, 3, 200), (3, 2, 200), (2, 4, 200),
-                                          (2, 3, 1030)])
+                                          pytest.param(2, 3, 2 * kernels._block_trials(2, 3, 6, 6) + 5,
+                                                       id="2-3-three-blocks")])
 def test_census_matches_einsum_reference(m, n, trials):
-    # 1030 trials cross the 1024-trial batch boundary
+    # the last case crosses at least two block boundaries
     lam, mu = kernels.census_spectra(m, n, trials, 55, start=3)
     ref_lam, ref_mu = ref_census_spectra(m, n, trials, 55, start=3)
     assert np.abs(lam - ref_lam).max() <= 1e-14
