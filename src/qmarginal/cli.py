@@ -49,8 +49,6 @@ from .linalg import (
 )
 from .oracle import SamplerConfig, random_state_with_marginal
 
-SEED_ENV = "REDUCED_STATE_SEED"
-
 
 class _UsageError(Exception):
     pass
@@ -72,16 +70,10 @@ def _norm_key(p: float) -> str:
     return "inf" if np.isinf(p) else format(p, "g")
 
 
-def _default_seed() -> int:
-    return int(os.environ.get(SEED_ENV, "0"))
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="qmarginal", description=__doc__)
     # argument groups shared by subcommands, each declared once
-    common, state, sigma, rank, spectra = (argparse.ArgumentParser(add_help=False) for _ in range(5))
-    common.add_argument("--out", metavar="PATH",
-                        help="also write the result document to this file")
+    state, sigma, rank, spectra = (argparse.ArgumentParser(add_help=False) for _ in range(4))
     state.add_argument("state")
     state.add_argument("--m", type=int)
     state.add_argument("--n", type=int)
@@ -92,10 +84,11 @@ def build_parser() -> _Parser:
     spectra.add_argument("mu")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    # a handler maps the parsed arguments to (document, exit code); the four
-    # subcommands that build one state share the handler _state_handler makes
+    # a handler maps the parsed arguments, whose file arguments _load_files has
+    # replaced by what they hold, to (document, exit code); the four subcommands
+    # that build one state share the handler _state_handler makes
     def add_parser(name, handler, *parents, **kwargs):
-        p = sub.add_parser(name, parents=[common, *parents], **kwargs)
+        p = sub.add_parser(name, parents=list(parents), **kwargs)
         p.set_defaults(handler=handler)
         return p
 
@@ -109,11 +102,10 @@ def build_parser() -> _Parser:
     p = add_parser("ptrace", _cmd_ptrace, state, help="partial trace of a bipartite state file")
     p.add_argument("--side", choices=["first", "second"], required=True)
 
-    add_parser("purify", _state_handler(lambda a: purify(fileio.load_density(a.sigma), a.m)), sigma,
+    add_parser("purify", _state_handler(lambda a: purify(a.sigma, a.m)), sigma,
                help="rank-one state with the given first marginal")
-    add_parser("construct",
-               _state_handler(lambda a: construct_rank_k(fileio.load_density(a.sigma), a.m, a.k)),
-               sigma, rank, help="rank-k state with the given first marginal")
+    add_parser("construct", _state_handler(lambda a: construct_rank_k(a.sigma, a.m, a.k)), sigma, rank,
+               help="rank-k state with the given first marginal")
 
     p = add_parser("approx", _cmd_approx, sigma, rank,
                    help="optimal rank-constrained marginal approximation")
@@ -121,10 +113,7 @@ def build_parser() -> _Parser:
     p.add_argument("--emit-curve", metavar="PATH",
                    help="also write a (k, min-norm) table up to the exact rank")
 
-    p = add_parser("extreme", _cmd_extreme, state, help="extremality report for a bipartite state")
-    p.add_argument("--cert-out", metavar="PATH",
-                   help="write the dependency certificate when not extreme")
-
+    add_parser("extreme", _cmd_extreme, state, help="extremality report for a bipartite state")
     add_parser("split", _cmd_split, state, help="split a non-extreme state with a rank drop")
 
     p = add_parser("feasible", _cmd_feasible, help="attainable ranks for a marginal of rank r")
@@ -138,15 +127,15 @@ def build_parser() -> _Parser:
     p.add_argument("--m", type=int)
 
     p = add_parser("spectra-construct",
-                   _state_handler(lambda a: construct_with_spectra(*_load_spectra(a), a.m)), spectra,
+                   _state_handler(lambda a: construct_with_spectra(a.lam, a.mu, a.m)), spectra,
                    help="state with prescribed joint and marginal spectra (m >= n)")
     p.add_argument("--m", type=int, required=True)
 
-    add_parser("construct23", _state_handler(lambda a: construct_23(*_load_spectra(a))), spectra,
+    add_parser("construct23", _state_handler(lambda a: construct_23(a.lam, a.mu)), spectra,
                help="state on a (2,3) system with prescribed spectra pair")
 
     p = add_parser("sample", _cmd_sample, sigma, help="random states with a prescribed first marginal")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=1)
     p.add_argument("--mix", type=int, default=4)
 
@@ -160,15 +149,19 @@ def _state_handler(build):
     return lambda args: (fileio.state_to_doc(build(args)), 0)
 
 
-def _load_spectra(args):
-    """The (lambda, mu) spectra files of a subcommand, loaded in that order."""
-    return fileio.load_spectrum(args.lam), fileio.load_spectrum(args.mu)
+def _load_files(args) -> None:
+    """Replace each file argument of ``args`` by what it holds, loaded in this order."""
+    loaders = (("matrix", lambda path: fileio.load_matrix(path)[0]),
+               ("state", lambda path: fileio.load_state(path, args.m, args.n)),
+               ("sigma", fileio.load_density), ("lam", fileio.load_spectrum), ("mu", fileio.load_spectrum))
+    for name, load in loaders:
+        if name in vars(args):
+            setattr(args, name, load(getattr(args, name)))
 
 
 def _cmd_validate(args):
-    mat, _, _ = fileio.load_matrix(args.matrix)
     dm = validate_density(
-        mat,
+        args.matrix,
         hermit_tol=args.hermit_tol,
         psd_tol=args.psd_tol,
         trace_tol=args.trace_tol,
@@ -187,18 +180,13 @@ def _cmd_validate(args):
 
 
 def _cmd_ptrace(args):
-    state = fileio.load_state(args.state, args.m, args.n)
-    if args.side == "first":
-        out = partial_trace_first(state)
-    else:
-        out = partial_trace_second(state)
-    return fileio.matrix_to_doc(out), 0
+    trace = partial_trace_first if args.side == "first" else partial_trace_second
+    return fileio.matrix_to_doc(trace(args.state)), 0
 
 
 def _cmd_approx(args):
-    sigma = fileio.load_density(args.sigma)
     norms = [float(tok) for tok in args.norms.split(",") if tok.strip()]
-    res = optimal_low_rank(sigma, args.m, args.k, norms=norms)
+    res = optimal_low_rank(args.sigma, args.m, args.k, norms=norms)
     doc = {
         "rho": fileio.state_to_doc(res.rho),
         "achieved_sigma": fileio.matrix_to_doc(res.achieved_sigma),
@@ -208,7 +196,7 @@ def _cmd_approx(args):
         "norms": {_norm_key(p): v for p, v in res.norms.items()},
     }
     if args.emit_curve:
-        _write_curve(args.emit_curve, sigma, args.m, norms)
+        _write_curve(args.emit_curve, args.sigma, args.m, norms)
     return doc, 0
 
 
@@ -223,43 +211,35 @@ def _write_curve(path, sigma, m, norms):
 
 
 def _cmd_extreme(args):
-    state = fileio.load_state(args.state, args.m, args.n)
-    rep = is_extreme(state)
-    doc = {
+    rep = is_extreme(args.state)
+    return {
         "is_extreme": rep.is_extreme,
         "rank": rep.rank,
         "gram_min_eig": rep.gram_min_eig,
         "marginal": rep.marginal,
         "certificate": None if rep.certificate is None else fileio.matrix_to_doc(rep.certificate),
-    }
-    if args.cert_out and rep.certificate is not None:
-        fileio.save_doc(args.cert_out, fileio.matrix_to_doc(rep.certificate))
-    return doc, 0
+    }, 0
 
 
 def _cmd_split(args):
-    state = fileio.load_state(args.state, args.m, args.n)
-    rep = is_extreme(state)
+    rep = is_extreme(args.state)
     if rep.is_extreme:
         raise InfeasibleError("state is extreme; nothing to split")
-    rho1, rho2 = split_nonextreme(state, rep.certificate)
+    rho1, rho2 = split_nonextreme(args.state, rep.certificate)
     return {"rho1": fileio.state_to_doc(rho1), "rho2": fileio.state_to_doc(rho2)}, 0
 
 
 def _cmd_feasible(args):
     rng = extreme_rank_range(args.r, args.m) if args.extreme else element_rank_range(args.r, args.m)
     doc = {"k_min": rng.k_min, "k_max": rng.k_max}
-    code = 0
-    if args.k is not None:
-        ok = rng.k_min <= args.k <= rng.k_max
-        doc["k"] = args.k
-        doc["feasible"] = ok
-        code = 0 if ok else 1
-    return doc, code
+    if args.k is None:
+        return doc, 0
+    ok = rng.k_min <= args.k <= rng.k_max
+    return {**doc, "k": args.k, "feasible": ok}, 0 if ok else 1
 
 
 def _cmd_compat(args):
-    lam, mu = _load_spectra(args)
+    lam, mu = args.lam, args.mu
     m, n = factor_dims(mu.size, args.m, lam.size)
     if (m, n) == (2, 2):
         mode, rep = "2x2", compat_2x2(lam, mu)
@@ -275,14 +255,12 @@ def _cmd_compat(args):
 
 
 def _cmd_sample(args):
-    sigma = fileio.load_density(args.sigma)
-    seed = args.seed if args.seed is not None else _default_seed()
-    cfg = SamplerConfig(seed=seed, trials=args.trials, mix_components=args.mix)
+    cfg = SamplerConfig(seed=args.seed, trials=args.trials, mix_components=args.mix)
     states = [
-        fileio.state_to_doc(random_state_with_marginal(sigma, args.m, replace(cfg, seed=seed + t)))
+        fileio.state_to_doc(random_state_with_marginal(args.sigma, args.m, replace(cfg, seed=args.seed + t)))
         for t in range(cfg.trials)
     ]
-    return {"seed": seed, "states": states}, 0
+    return {"seed": args.seed, "states": states}, 0
 
 
 def _cmd_demo_s5(args):
@@ -308,12 +286,9 @@ def _emit_error(kind: str, message: str, **extra) -> None:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        _load_files(args)
         doc, code = args.handler(args)
-        text = fileio.dumps(doc)
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text + "\n")
-        print(text, flush=True)
+        print(fileio.dumps(doc), flush=True)
     except ValidationError as exc:
         _emit_error("validation", str(exc), reason=exc.reason)
         return 3

@@ -316,11 +316,20 @@ def _feasible_mu(lam, mu) -> list[float]:
     difference of sums goes to mu1 or mu6, which again worsens no
     inequality. For a pair ``compat_2x3`` accepts, the shift is a few
     MAJ_TOL.
+
+    ``up1`` leaves out the help that ``up2`` gives to lambda1 <= mu1+mu2;
+    counting it gives the same result. The two differ only when
+    ``up1`` = a = lambda1 - (mu1+mu2) > 0 and up2 = lambda3 - (mu2+mu3) > 0.
+    Then lambda2 >= lambda3 and 2 mu2 + mu3 >= mu4 + mu5 + mu6 (both
+    descending) give sum(lam) - sum(mu) >= a + 2 up2, so the difference of
+    sums left after the moves is at least up2 > 0 either way. It goes to
+    mu1, which ends at mu1 + sum(lam) - sum(mu) - up2 + down5 + down6
+    whatever ``up1`` was.
     """
     m1, m2, m3, m4, m5, m6 = mu
     l1, _, l3 = lam
     up2 = max(l3 - (m2 + m3), 0.0)
-    up1 = max(l1 - (m1 + m2) - up2, m2 + up2 - m1, 0.0)
+    up1 = max(l1 - (m1 + m2), m2 + up2 - m1, 0.0)
     down5 = max(m4 + m5 - l1, 0.0)
     down6 = max(m5 + m6 - l3 - down5, down5 - (m5 - m6), 0.0)
     gap = sum(lam) - (sum(mu) + up1 + up2 - down5 - down6)

@@ -141,12 +141,6 @@ def load_doc(path: str) -> dict:
         return json.load(fh)
 
 
-def save_doc(path: str, doc: dict) -> None:
-    with open(path, "w") as fh:
-        fh.write(dumps(doc))
-        fh.write("\n")
-
-
 def load_spectrum(path: str) -> np.ndarray:
     return doc_to_spectrum(load_doc(path))
 

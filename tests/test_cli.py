@@ -24,7 +24,7 @@ def run_cli(capsys, *argv):
 
 def write(tmp_path, name, doc):
     path = tmp_path / name
-    fileio.save_doc(str(path), doc)
+    path.write_text(fileio.dumps(doc) + "\n")
     return str(path)
 
 
@@ -296,10 +296,11 @@ def test_sample_reproducible(uniform3, capsys):
 
 
 def test_sample_seed_from_env(uniform3, capsys, monkeypatch):
+    # only --seed sets the seed: with no flag it is 0, whatever the environment holds
     monkeypatch.setenv("REDUCED_STATE_SEED", "77")
     code, out, _ = run_cli(capsys, "sample", uniform3, "--m", "2")
     assert code == 0
-    assert out["seed"] == 77
+    assert out["seed"] == 0
 
 
 def test_demo_s5(capsys):
@@ -352,21 +353,18 @@ def test_construct23_agrees_with_compat_at_band_edge(tmp_path, capsys):
 
 
 def test_extreme_cert_out(tmp_path, capsys):
+    # the certificate of a non-extreme state is a field of extreme's document,
+    # exact to the bit and accepted by the split
     state = qm.construct_rank_k(qm.validate_density(np.eye(3) / 3), 2, 5)
     state_path = write(tmp_path, "state.json", fileio.state_to_doc(state))
-    cert_path = tmp_path / "cert.json"
-    code, out, _ = run_cli(capsys, "extreme", state_path, "--cert-out", str(cert_path))
+    code, out, _ = run_cli(capsys, "extreme", state_path)
     assert code == 0 and out["is_extreme"] is False
-    cert = fileio.doc_to_matrix(fileio.load_doc(str(cert_path)))
-    assert cert.shape == (5, 5)
-
-
-def test_out_flag_writes_document(uniform3, tmp_path, capsys):
-    out_path = tmp_path / "out.json"
-    code, doc, _ = run_cli(capsys, "construct", uniform3, "--m", "2", "--k", "3",
-                           "--out", str(out_path))
-    assert code == 0
-    assert json.loads(out_path.read_text()) == doc
+    assert (out["certificate"]["rows"], out["certificate"]["cols"]) == (5, 5)
+    cert = fileio.doc_to_matrix(out["certificate"])
+    loaded = fileio.load_state(state_path)
+    assert cert.tobytes() == qm.is_extreme(loaded).certificate.tobytes()
+    rho1, rho2 = qm.split_nonextreme(loaded, cert)
+    np.testing.assert_allclose((rho1.matrix + rho2.matrix) / 2, state.matrix, atol=1e-10)
 
 
 def test_validate_tolerance_overrides(tmp_path, capsys):
@@ -388,6 +386,23 @@ def test_unknown_flag(capsys):
     code, _, err = run_cli(capsys, "feasible", "--r", "3")
     assert code == 2
     assert err["error"]["type"] == "usage"
+
+
+@pytest.mark.parametrize("argv", [
+    ["feasible", "--r", "3", "--m", "2", "--out", "x.json"],
+    ["extreme", "STATE", "--cert-out", "c.json"],
+], ids=["out", "cert-out"])
+def test_no_output_file_flags(tmp_path, capsys, argv):
+    # a result goes to stdout only: no subcommand takes a path to write it to
+    state = qm.construct_rank_k(qm.validate_density(np.eye(3) / 3), 2, 5)
+    paths = {"STATE": write(tmp_path, "state.json", fileio.state_to_doc(state)),
+             "x.json": str(tmp_path / "x.json"), "c.json": str(tmp_path / "c.json")}
+    code, out, err = run_cli(capsys, *[paths.get(a, a) for a in argv])
+    assert code == 2
+    assert out is None
+    assert err["error"]["type"] == "usage"
+    assert err["error"]["message"].startswith("unrecognized arguments: " + argv[-2])
+    assert list(tmp_path.iterdir()) == [tmp_path / "state.json"]
 
 
 def test_malformed_inputs_are_usage_errors(tmp_path, capsys):
@@ -466,7 +481,6 @@ def test_validate_reports_unclipped_min_eigenvalue(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["approx", "SIGMA", "--m", "2", "--k", "1", "--norms", "nan"],
-    ["feasible", "--r", "3", "--m", "2", "--out", "MISSING_DIR/x.json"],
     ["purify", "SIGMA", "--m", "0"],
     ["construct", "SIGMA", "--m", "2", "--k", "0"],
     ["spectra-construct", "LAM", "MU", "--m", "0"],
@@ -477,7 +491,7 @@ def test_validate_reports_unclipped_min_eigenvalue(tmp_path, capsys):
     ["validate", "SIGMA", "--psd-tol", "-1"],
     ["validate", "SIGMA", "--hermit-tol", "inf"],
     ["compat", "LAM", "MU", "--m", "2"],
-], ids=["approx-nan-norm", "out-missing-dir", "purify-m0", "construct-k0",
+], ids=["approx-nan-norm", "purify-m0", "construct-k0",
         "spectra-construct-m0", "sample-mix0", "sample-trials0", "rank-tol-factor-nan",
         "trace-tol-nan", "psd-tol-negative", "hermit-tol-inf", "compat-m-mismatch"])
 def test_bad_arguments_are_usage_errors(tmp_path, capsys, argv):
@@ -486,7 +500,7 @@ def test_bad_arguments_are_usage_errors(tmp_path, capsys, argv):
         "LAM": write(tmp_path, "lam.json", fileio.spectrum_to_doc([1.0])),
         "MU": write(tmp_path, "mu.json", fileio.spectrum_to_doc([0.5, 0.3, 0.2])),
     }
-    argv = [paths.get(a, a.replace("MISSING_DIR", str(tmp_path / "missing"))) for a in argv]
+    argv = [paths.get(a, a) for a in argv]
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out is None

@@ -202,10 +202,11 @@ class TestSplitNonextreme:
         with pytest.raises(qm.InvalidCertificateError, match="trace"):
             qm.split_nonextreme(state, cert + 1.4e-9 / step * np.eye(9))
 
-    @pytest.mark.parametrize("delta", [1.8e-9, 1e-9])
+    @pytest.mark.parametrize("delta", [1.8e-9, 1e-9, 1e-11])
     def test_eigenvalues_under_the_rank_cutoff_kept(self, delta):
         # mixing in delta I/6 leaves three eigenvalues of about delta/6 under
-        # the rank cutoff; the halves must still average to the whole state
+        # the rank cutoff; the halves must still average to the whole state,
+        # also at delta = 1e-11, whose three sum to 5e-12 > ROUNDOFF_TAIL = 1e-12
         rho = qm.nonextreme_of_rank_k(qm.validate_density(np.eye(3) / 3), 2, 3)
         state = qm.bipartite((1 - delta) * rho.matrix + delta * np.eye(6) / 6, 2, 3)
         assert state.rank == 3

@@ -152,6 +152,18 @@ class TestValidateDensity:
         assert err.value.reason == "not-psd"
         assert "-5" in str(err.value)  # reports the most negative eigenvalue
 
+    @pytest.mark.parametrize("top, x, psd", [(1.0, 5e-10, True), (1.0, 2e-9, False),
+                                              (4.0, 2e-9, True), (4.0, 5e-9, False)])
+    def test_psd_tolerance_scales_with_largest_eigenvalue(self, top, x, psd):
+        # the least eigenvalue, -x, may reach -PSD_TOL * max(1, largest) = -1e-9 * max(1, top)
+        a = np.diag([top + x, -x])
+        if psd:
+            assert qm.validate_density(a, trace_tol=10.0).rank == 1
+        else:
+            with pytest.raises(qm.ValidationError) as err:
+                qm.validate_density(a, trace_tol=10.0)
+            assert err.value.reason == "not-psd"
+
     def test_trace_not_one(self):
         with pytest.raises(qm.ValidationError) as err:
             qm.validate_density(np.diag([0.5, 0.4]))

@@ -33,6 +33,11 @@ class TestMajorizes:
         assert not rep.holds
         assert rep.first_violation == 2
 
+    @pytest.mark.parametrize("excess, holds", [(5e-11, True), (2e-10, False)])
+    def test_tolerance_scale(self, excess, holds):
+        # x's first prefix sum exceeds y's by excess: it holds only within MAJ_TOL = 1e-10
+        assert qm.majorizes([0.5 + excess, 0.5 - excess], [0.5, 0.5]).holds is holds
+
     def test_unsorted_inputs_accepted(self):
         assert qm.majorizes([0.3, 0.4, 0.3], [0.2, 0.6, 0.2]).holds
 
@@ -171,10 +176,12 @@ def test_lp_norm_rejects_nan_p():
     ([1e308] * 2, 1, math.inf),
     ([1e308] * 4, 2, math.inf),
     ([1e308] * 9, 2.5, math.inf),
+    ([math.inf, 1.0], 2, math.inf),
 ])
 def test_lp_norm_power_sum_overflow(values, p, want):
     # the power sum overflows: a representable norm is finite, one beyond
-    # the float range inf, and neither warns (warnings are errors here)
+    # the float range inf, and neither warns (warnings are errors here);
+    # an infinite entry is no overflow and is not rescaled (inf / inf warns)
     assert lp_norm(values, p) == pytest.approx(want, rel=1e-15)
 
 
