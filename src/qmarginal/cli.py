@@ -180,8 +180,11 @@ def _cmd_validate(args):
 
 
 def _cmd_ptrace(args):
-    trace = partial_trace_first if args.side == "first" else partial_trace_second
-    return fileio.matrix_to_doc(trace(args.state)), 0
+    if args.side == "first":
+        out = partial_trace_first(args.state)
+    else:
+        out = partial_trace_second(args.state)
+    return fileio.matrix_to_doc(out), 0
 
 
 def _cmd_approx(args):
@@ -232,10 +235,13 @@ def _cmd_split(args):
 def _cmd_feasible(args):
     rng = extreme_rank_range(args.r, args.m) if args.extreme else element_rank_range(args.r, args.m)
     doc = {"k_min": rng.k_min, "k_max": rng.k_max}
-    if args.k is None:
-        return doc, 0
-    ok = rng.k_min <= args.k <= rng.k_max
-    return {**doc, "k": args.k, "feasible": ok}, 0 if ok else 1
+    code = 0
+    if args.k is not None:
+        ok = rng.k_min <= args.k <= rng.k_max
+        doc["k"] = args.k
+        doc["feasible"] = ok
+        code = 0 if ok else 1
+    return doc, code
 
 
 def _cmd_compat(args):

@@ -315,16 +315,12 @@ def _feasible_mu(lam, mu) -> list[float]:
     trace of the marginal is the trace of the state, so the remaining
     difference of sums goes to mu1 or mu6, which again worsens no
     inequality. For a pair ``compat_2x3`` accepts, the shift is a few
-    MAJ_TOL.
-
-    ``up1`` leaves out the help that ``up2`` gives to lambda1 <= mu1+mu2;
-    counting it gives the same result. The two differ only when
-    ``up1`` = a = lambda1 - (mu1+mu2) > 0 and up2 = lambda3 - (mu2+mu3) > 0.
-    Then lambda2 >= lambda3 and 2 mu2 + mu3 >= mu4 + mu5 + mu6 (both
-    descending) give sum(lam) - sum(mu) >= a + 2 up2, so the difference of
-    sums left after the moves is at least up2 > 0 either way. It goes to
-    mu1, which ends at mu1 + sum(lam) - sum(mu) - up2 + down5 + down6
-    whatever ``up1`` was.
+    MAJ_TOL. ``up1`` leaves out the help ``up2`` gives to lambda1 <=
+    mu1+mu2; counting it gives the same result up to rounding (a few ulp
+    of mu1). The forms differ only if a = lambda1 - (mu1+mu2) > 0 and
+    up2 > 0; there sorted spectra give sum(lam) - sum(mu) >= a + 2 up2, so
+    ``gap`` > 0 either way and mu1 ends at mu1 + sum(lam) - sum(mu) - up2 +
+    down5 + down6.
     """
     m1, m2, m3, m4, m5, m6 = mu
     l1, _, l3 = lam

@@ -3,7 +3,7 @@
 
 Usage (from the root of the repository):
 
-    python3 tools/mutants.py MODULE SAMPLE [--seed N] [--timeout SECONDS]
+    python3 tools/mutants.py MODULE SAMPLE [--seed N]
 
 MODULE names a file of ``src/qmarginal`` (``constructors``, ``linalg``, ...).
 Each mutant changes one spot of it: it swaps one binary or augmented
@@ -16,7 +16,7 @@ them are drawn with ``random.Random(seed)``.
 The tree (with ``qbench/``, which a tier-1 test reads) is copied once to a
 temporary directory, and each mutant is written into that copy only. There
 tier-1 runs with ``-x``, one BLAS thread, no bytecode cache and a bounded
-address space. A failing run, or one past the timeout, kills the mutant.
+address space. A failing run, or one past TIMEOUT, kills the mutant.
 The unmutated copy runs first and must pass. One line per mutant gives
 file:line, the change, the verdict and the time; then the score. Exit 0
 when every mutant is killed, 1 when one survives, 2 when the copy fails
@@ -46,6 +46,7 @@ TIER1 = ["-m", "pytest", "-q", "-x", "--continue-on-collection-errors", "-p", "n
 PINNED = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1",
           "PYTHONDONTWRITEBYTECODE": "1"}
 ADDRESS_SPACE = 4 * 2**30  # bytes per tier-1 run: a mutant that allocates without bound fails alone
+TIMEOUT = 300.0  # seconds per tier-1 run: a mutant that loops for ever is killed
 SWAPS = {"+": "-", "-": "+", "*": "/", "/": "*", "+=": "-=", "-=": "+=", "*=": "/=", "/=": "*=",
          "<": "<=", "<=": "<", ">": ">=", ">=": ">"}
 OPERATORS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/",
@@ -102,14 +103,14 @@ def _limit_memory() -> None:
     resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE, ADDRESS_SPACE))
 
 
-def run_tier1(tree: Path, timeout: float) -> str:
+def run_tier1(tree: Path) -> str:
     """"passed", "failed" or "timeout" for tier-1 in ``tree``."""
     env = {**os.environ, **PINNED, "PYTHONPATH": str(tree / "src")}
     with subprocess.Popen([sys.executable, *TIER1], cwd=tree, env=env, stdout=subprocess.DEVNULL,
                           stderr=subprocess.DEVNULL, start_new_session=True,
                           preexec_fn=_limit_memory) as proc:
         try:
-            return "passed" if proc.wait(timeout=timeout) == 0 else "failed"
+            return "passed" if proc.wait(timeout=TIMEOUT) == 0 else "failed"
         except subprocess.TimeoutExpired:
             os.killpg(proc.pid, signal.SIGKILL)  # pytest and any process it started
             proc.wait()
@@ -121,7 +122,6 @@ def main(argv=None) -> int:
     parser.add_argument("module", help="a module of src/qmarginal, e.g. constructors")
     parser.add_argument("sample", type=int, help="how many mutants to draw")
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--timeout", type=float, default=300.0, help="seconds per tier-1 run")
     args = parser.parse_args(argv)
     rel = PACKAGE / f"{args.module.removesuffix('.py')}.py"
     if not (ROOT / rel).is_file():
@@ -134,14 +134,14 @@ def main(argv=None) -> int:
         tree = Path(tmp) / "tree"
         shutil.copytree(ROOT, tree, ignore=shutil.ignore_patterns(
             ".git", "__pycache__", ".pytest_cache", ".hypothesis", ".qbench_out"))
-        if run_tier1(tree, args.timeout) != "passed":
+        if run_tier1(tree) != "passed":
             print("tier-1 fails on the unmutated copy: no score", flush=True)
             return 2
         survivors = 0
         for mutant in drawn:
             (tree / rel).write_text(_apply(source, mutant))
             start = time.perf_counter()
-            verdict = run_tier1(tree, args.timeout)
+            verdict = run_tier1(tree)
             survived = verdict == "passed"
             survivors += survived
             line, col, _, old, new = mutant
