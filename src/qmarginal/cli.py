@@ -37,16 +37,7 @@ from .feasibility import (
     extreme_rank_range,
     necessary_spectra_compat,
 )
-from .linalg import (
-    HERMIT_TOL,
-    PSD_TOL,
-    RANK_TOL_FACTOR,
-    TRACE_TOL,
-    factor_dims,
-    partial_trace_first,
-    partial_trace_second,
-    validate_density,
-)
+from .linalg import factor_dims, partial_trace_first, partial_trace_second
 from .oracle import SamplerConfig, random_state_with_marginal
 
 
@@ -57,13 +48,6 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
-
-
-def _tolerance(text: str) -> float:
-    value = float(text)
-    if not (np.isfinite(value) and value >= 0):
-        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
-    return value
 
 
 def _norm_key(p: float) -> str:
@@ -94,10 +78,6 @@ def build_parser() -> _Parser:
 
     p = add_parser("validate", _cmd_validate, help="check a matrix file is a density matrix")
     p.add_argument("matrix")
-    p.add_argument("--hermit-tol", type=_tolerance, default=HERMIT_TOL)
-    p.add_argument("--psd-tol", type=_tolerance, default=PSD_TOL)
-    p.add_argument("--trace-tol", type=_tolerance, default=TRACE_TOL)
-    p.add_argument("--rank-tol-factor", type=_tolerance, default=RANK_TOL_FACTOR)
 
     p = add_parser("ptrace", _cmd_ptrace, state, help="partial trace of a bipartite state file")
     p.add_argument("--side", choices=["first", "second"], required=True)
@@ -151,7 +131,7 @@ def _state_handler(build):
 
 def _load_files(args) -> None:
     """Replace each file argument of ``args`` by what it holds, loaded in this order."""
-    loaders = (("matrix", lambda path: fileio.load_matrix(path)[0]),
+    loaders = (("matrix", fileio.load_density),
                ("state", lambda path: fileio.load_state(path, args.m, args.n)),
                ("sigma", fileio.load_density), ("lam", fileio.load_spectrum), ("mu", fileio.load_spectrum))
     for name, load in loaders:
@@ -160,13 +140,7 @@ def _load_files(args) -> None:
 
 
 def _cmd_validate(args):
-    dm = validate_density(
-        args.matrix,
-        hermit_tol=args.hermit_tol,
-        psd_tol=args.psd_tol,
-        trace_tol=args.trace_tol,
-        rank_tol_factor=args.rank_tol_factor,
-    )
+    dm = args.matrix
     low = dm.eigenvectors[:, -1]
     doc = {
         "valid": True,

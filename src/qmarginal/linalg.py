@@ -21,12 +21,11 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, InfeasibleError, ValidationError
+from .errors import DimensionError, InfeasibleError, ValidationError
 from .kernels import PortableRng, _positive
 
 HERMIT_TOL = 1e-9
@@ -41,11 +40,6 @@ RANK_TOL_FACTOR = 1e-9
 # largest squared norm: 1.3e-10 at k = 128, far below the constructions'
 # spectrum tolerance 1e-8.
 ORTHO_TOL = 1e-12
-
-
-def _check_tolerance(name: str, value: float) -> None:
-    if not 0 <= value < math.inf:  # NaN fails both comparisons
-        raise DomainError(f"{name} must be finite and >= 0, got {value!r}")
 
 
 def factor_dims(total: int, m: int | None, n: int | None) -> tuple[int, int]:
@@ -73,20 +67,19 @@ def _explicit_dims(total: int, m: int | None, n: int | None) -> tuple[int, int]:
     return factor_dims(total, m, n)
 
 
-def assert_hermitian(a: np.ndarray, tol: float = HERMIT_TOL) -> None:
-    """Raise unless A is finite, square, non-empty and max |A - A*| <= tol * max(1, max |A|).
+def assert_hermitian(a: np.ndarray) -> None:
+    """Raise unless A is finite, square, non-empty and max |A - A*| <= HERMIT_TOL * max(1, max |A|).
 
     Both sides are taken halved, max |A/2 - A*/2| against max(1, max |A|)/2,
     which no finite entry overflows; halving is exact for normal numbers.
     """
-    _check_tolerance("tol", tol)
     if not np.isfinite(a).all():
         raise ValidationError("not-finite", "matrix has a non-finite entry")
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
         raise DimensionError(f"expected a non-empty square matrix, got shape {a.shape}")
     half = a / 2.0
     defect = float(np.abs(half - half.conj().T).max()) / max(0.5, float(np.abs(half).max()))
-    if defect > tol:
+    if defect > HERMIT_TOL:
         raise ValidationError(
             "not-hermitian", f"matrix is not Hermitian (relative defect {defect:.3e})"
         )
@@ -112,8 +105,8 @@ class DensityMatrix:
     columns of Z are nonzero and pairwise orthogonal to ``ORTHO_TOL`` they
     are that basis, normalised, under their squared norms, ties in column
     order; otherwise both come from the thin SVD of Z, ties in its order.
-    ``rank`` is the numerical rank at the construction tolerance, so the
-    first ``rank`` eigenvalues are positive. Construct via
+    ``rank`` counts the eigenvalues above ``RANK_TOL_FACTOR`` times the
+    largest, so the first ``rank`` eigenvalues are positive. Construct via
     :func:`validate_density`; instances are immutable, and their read-only
     arrays share no memory with the caller's matrix or factor.
     """
@@ -176,7 +169,7 @@ def _descending(w: np.ndarray) -> np.ndarray:
     return np.argsort(-w, kind="stable")
 
 
-def hermitian_eig(a, tol: float = HERMIT_TOL):
+def hermitian_eig(a):
     """Descending eigendecomposition (w, V) of a Hermitian matrix, A = V diag(w) V*.
 
     The eigh is taken of the Hermitian part A/2 + A*/2, which no finite
@@ -184,7 +177,7 @@ def hermitian_eig(a, tol: float = HERMIT_TOL):
     ("not-finite"). Ties keep the solver's output order under a stable sort.
     """
     a = np.asarray(a, dtype=complex)
-    assert_hermitian(a, tol)
+    assert_hermitian(a)
     w, v = np.linalg.eigh(_hermitian_part(a))
     order = _descending(w)
     return w[order], v[:, order]
@@ -231,16 +224,14 @@ def _factor_eig(z: np.ndarray, zc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
-def validate_density(
-    a=None,
-    hermit_tol: float = HERMIT_TOL,
-    psd_tol: float = PSD_TOL,
-    trace_tol: float = TRACE_TOL,
-    rank_tol_factor: float = RANK_TOL_FACTOR,
-    *,
-    factor=None,
-) -> DensityMatrix:
+def validate_density(a=None, *, factor=None) -> DensityMatrix:
     """Validate finiteness / Hermiticity / positivity / unit trace and compute the numerical rank.
+
+    The only tolerances are the module constants: the relative Hermitian
+    defect is at most ``HERMIT_TOL``, the least eigenvalue at least
+    ``-PSD_TOL * max(1, |largest|)``, the trace within ``TRACE_TOL`` of 1,
+    and the rank counts the eigenvalues above ``RANK_TOL_FACTOR`` times the
+    largest.
 
     Pass either the matrix ``a`` or, as ``factor=Z``, a factor of ``a = Z Z*``.
     A d x k factor of any width takes no eigendecomposition of the d x d
@@ -250,17 +241,14 @@ def validate_density(
     eigenvalue, and the basis the normalised columns. Any other factor takes
     one thin SVD: the squared singular values and the d x min(d, k) left
     singular basis. Either spectrum is padded with zeros to length d. Z Z*
-    is Hermitian by construction, so ``hermit_tol`` applies to the matrix
+    is Hermitian by construction, so ``HERMIT_TOL`` applies to the matrix
     path only.
     """
     if (a is None) == (factor is None):
         raise TypeError("pass exactly one of a matrix and factor=")
-    for name, tol in (("hermit_tol", hermit_tol), ("psd_tol", psd_tol),
-                      ("trace_tol", trace_tol), ("rank_tol_factor", rank_tol_factor)):
-        _check_tolerance(name, tol)
     if factor is None:
         a = np.array(a, dtype=complex)  # the state's own copy of the caller's matrix
-        w, v = hermitian_eig(a, hermit_tol)
+        w, v = hermitian_eig(a)
     else:
         z = np.asarray(factor, dtype=complex)
         if z.ndim != 2 or z.shape[0] == 0:
@@ -276,15 +264,15 @@ def validate_density(
             raise ValidationError("not-finite", "Z Z* has a non-finite entry or eigenvalue")
     wmax = float(w[0])
     wmin = float(w[-1])
-    if wmin < -psd_tol * max(1.0, abs(wmax)):
+    if wmin < -PSD_TOL * max(1.0, abs(wmax)):
         raise ValidationError(
             "not-psd", f"matrix is not positive semidefinite (min eigenvalue {wmin:.3e})"
         )
     with np.errstate(over="ignore"):  # a trace that overflows is inf and fails below
         tr = float(np.trace(a).real)
-    if abs(tr - 1.0) > trace_tol:
+    if abs(tr - 1.0) > TRACE_TOL:
         raise ValidationError("trace-not-one", f"trace is {tr!r}, expected 1")
-    rank = int(np.sum(w > rank_tol_factor * max(wmax, 0.0)))
+    rank = int(np.sum(w > RANK_TOL_FACTOR * max(wmax, 0.0)))
     w = np.maximum(w, 0.0)  # stored density spectra are nonnegative
     # a, w and v are new arrays, none a view of the caller's: freeze them in place
     for arr in (a, w, v):
@@ -293,7 +281,7 @@ def validate_density(
 
 
 def bipartite(a, m: int, n: int, *, factor=None) -> BipartiteState:
-    """Validate a matrix (or, with ``factor=Z``, Z Z*) at the default tolerances; attach dims."""
+    """Validate a matrix (or, with ``factor=Z``, Z Z*) at the module's tolerances; attach dims."""
     return BipartiteState(m=m, n=n, rho=validate_density(a, factor=factor))
 
 

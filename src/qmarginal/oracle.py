@@ -78,13 +78,21 @@ def search_min_norm(
     The competitors are normalized Gaussian factors of width k, trial t
     from ``kernels.residual_spectra``'s stream. A running minimum over the
     trial stream: more trials with the same seed can only decrease the
-    value. Each trial's norm is ``lp_norm`` of its residual spectrum; the
-    norms of all trials come from one reduction.
+    value. Each trial's norm is ``lp_norm`` of its residual spectrum. Chunks
+    of ``kernels.BATCH_BYTES // (8 * n)`` trials (at least one) are drawn and
+    reduced one at a time, so a call holds one chunk of spectra, about
+    ``BATCH_BYTES``, besides the kernel's own block, whatever the trial count.
     """
     _require_norm_p(p)  # before any spectra are drawn
-    spectra = kernels.residual_spectra(sigma.matrix, m, sigma.dim, k, cfg.trials, cfg.seed)
+    n = sigma.dim
+    chunk = max(1, kernels.BATCH_BYTES // (8 * n))
+    least = np.inf
+    for lo in range(0, cfg.trials, chunk):
+        spectra = kernels.residual_spectra(sigma.matrix, m, n, k, min(chunk, cfg.trials - lo),
+                                           cfg.seed, start=lo * 2 * m * n * k)
+        least = np.minimum(least, _lp_power_sums(np.abs(spectra), p, axis=1).min())
     # the root is increasing, so it is taken once, of the smallest power sum
-    return float(_lp_root(_lp_power_sums(np.abs(spectra), p, axis=1).min(), p))
+    return float(_lp_root(least, p))
 
 
 def spectra_pair_census(m: int, n: int, cfg: SamplerConfig) -> list[tuple[np.ndarray, np.ndarray]]:

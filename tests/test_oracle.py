@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import qmarginal as qm
 from qmarginal import kernels
-from qmarginal.majorization import lp_norm
+from qmarginal.majorization import _lp_power_sums, _lp_root, lp_norm
 
 
 @pytest.mark.parametrize("dim", [0, -2])
@@ -127,6 +129,33 @@ def test_search_min_norm_is_min_of_lp_norm_per_row(m, n, k):
         assert qm.search_min_norm(sigma, m, k, p, cfg) == want
 
 
+@pytest.mark.parametrize("extra", [-1, 0, 1, 5 + kernels.BATCH_BYTES // 128])
+def test_search_min_norm_chunks_keep_the_bits(extra):
+    # chunks of BATCH_BYTES // (8 n) = 1024 trials at n = 16: one short of a
+    # chunk, one chunk, one past it and two chunks and five give the bits of
+    # the minimum over the whole trials x n array of spectra
+    sigma = qm.random_density(16, 16, seed=33)
+    cfg = qm.SamplerConfig(seed=14, trials=kernels.BATCH_BYTES // 128 + extra)
+    spectra = np.abs(kernels.residual_spectra(sigma.matrix, 2, 16, 1, cfg.trials, cfg.seed))
+    for p in (1.0, 2.0, np.inf, 3.0):
+        want = float(_lp_root(_lp_power_sums(spectra, p, axis=1).min(), p))
+        assert qm.search_min_norm(sigma, 2, 1, p, cfg) == want
+
+
+def test_search_min_norm_memory_is_bounded():
+    # 20000 spectra of length 6 take 960 KB, and their absolute values as
+    # much again; reduced a chunk at a time, the call stays under 4 blocks
+    sigma = qm.random_density(6, 6, seed=3)
+    cfg = qm.SamplerConfig(seed=1, trials=20_000)
+    tracemalloc.start()
+    try:
+        qm.search_min_norm(sigma, 2, 2, 1.0, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * kernels.BATCH_BYTES
+
+
 @pytest.mark.parametrize("p", [0.5, 0.0, -np.inf, float("nan")])
 def test_search_min_norm_rejects_p_before_sampling(p, monkeypatch):
     def no_draws(*args, **kwargs):
@@ -165,3 +194,5 @@ def test_config_validation():
         qm.SamplerConfig(seed=1, trials=0)
     with pytest.raises(qm.DomainError):
         qm.SamplerConfig(seed=1, mix_components=0)
+    cfg = qm.SamplerConfig(seed=1, trials=1, mix_components=1)  # the least of each is allowed
+    assert (cfg.trials, cfg.mix_components) == (1, 1)
